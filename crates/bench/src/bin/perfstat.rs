@@ -53,6 +53,10 @@
 //! When the baseline carries the simcache section's `sim_hit_ratio`,
 //! the warm-path hit ratio is gated too (exactly — it is
 //! deterministic): a drop means the warm path silently re-simulates.
+//! Independently of the baseline, the run fails when the CPU reports the
+//! x86 SHA extensions but content IDs are hashed by the scalar backend
+//! (the store section's `sha256_backend`): a silent fallback costs ~5x
+//! on every store read and publish.
 //!
 //!     cargo run --release -p checkelide-bench --bin perfstat -- \
 //!         [--quick] [--floor FILE [--floor-mult X]] [bench]
@@ -62,6 +66,7 @@ use checkelide_bench::figures::{
 };
 use checkelide_bench::proto::{serve, RemoteStore};
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
+use checkelide_bench::store::{sha256, sha256_backend};
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
 use checkelide_engine::{EngineConfig, Mechanism, Vm, VmStats};
 use checkelide_isa::codec::{encode_trace, TraceReader};
@@ -233,6 +238,18 @@ fn region_compile_probe(bench: &str, scale: i32, reps: u32) -> (f64, u64, u64) {
     }
     let us_per_region = best * 1e6 / f64::from(COMPILES) / n_regions.max(1) as f64;
     (us_per_region, n_regions, bytes)
+}
+
+/// Whether the CPU reports the x86 SHA extensions (false off x86-64).
+fn cpu_has_sha() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("sha")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// Extract the first `"key": <number>` value from a JSON text. The
@@ -515,6 +532,18 @@ fn main() {
     });
     let _ = std::fs::remove_dir_all(&cache_dir);
 
+    // Content-ID hashing: every store read and publish pays one SHA-256
+    // of the raw trace body. Best-of over a fixed 64 MiB buffer, so the
+    // figure is comparable across --quick and full runs.
+    const SHA_PROBE_BYTES: usize = 64 << 20;
+    eprintln!("timing SHA-256 content IDs ({}) ...", sha256_backend());
+    let sha_buf: Vec<u8> =
+        (0..SHA_PROBE_BYTES as u32).map(|i| (i.wrapping_mul(0x9e37_79b1) >> 24) as u8).collect();
+    let sha256_mbps = mops(SHA_PROBE_BYTES, 5, || {
+        std::hint::black_box(sha256(std::hint::black_box(&sha_buf)));
+    });
+    drop(sha_buf);
+
     // --- simcache: sim-result memoization on the timed grid ------------
     // Figure 1's cells are untimed (no `CoreSim` pass), so the sim cache
     // is probed on the timed fig8/fig9 grid, always at quick scale so
@@ -614,6 +643,8 @@ fn main() {
                 ("loopback_get_mbps", Json::Num(loopback_get_mbps)),
                 ("server_hits", Json::UInt(server_stats.hits)),
                 ("server_bytes_read", Json::UInt(server_stats.bytes_read)),
+                ("sha256_backend", Json::Str(sha256_backend().into())),
+                ("sha256_mbps", Json::Num(sha256_mbps)),
             ]),
         ),
         (
@@ -741,6 +772,7 @@ fn main() {
          ({} server hit(s))",
         server_stats.hits
     );
+    println!("  SHA-256 content IDs: {} backend, {sha256_mbps:.0} MB/s", sha256_backend());
     println!("== fig1 grid (jobs=1, quick={}) ==", cli.quick);
     println!("  {grid_ms:.0} ms uncached");
     println!(
@@ -812,6 +844,21 @@ fn main() {
                 );
                 std::process::exit(1);
             }
+        }
+        // SHA backend liveness: like the region gate, this catches a
+        // silently dead fast path rather than measuring one. It needs no
+        // baseline key: the CPU's own feature report is the reference.
+        println!(
+            "  SHA-256 backend {} (CPU SHA extensions: {})",
+            sha256_backend(),
+            if cpu_has_sha() { "yes" } else { "no" }
+        );
+        if cpu_has_sha() && sha256_backend() == "scalar" {
+            eprintln!(
+                "error: the CPU reports SHA extensions but content IDs are hashed by the \
+                 scalar backend"
+            );
+            std::process::exit(1);
         }
         // Sim-cache gate: the warm-path hit ratio is deterministic (a
         // populated store must serve every timed cell), so no noise

@@ -1,7 +1,7 @@
 //! Debugging aid: stall-cause breakdown from the timing model for one
 //! benchmark, baseline vs full mechanism.
 //!
-//!     cargo run --release -p checkelide-bench --bin diag3 -- <benchmark>
+//!     cargo run --release -p checkelide-bench --bin stalls -- <benchmark>
 
 fn main() {
     use checkelide_bench::{find, run_benchmark, RunConfig};

@@ -265,10 +265,7 @@ pub struct CoreSim {
     window_wait: u64,
     mem_wait: u64,
     batch: BatchScratch,
-    dbg_nodep: bool,
-    dbg_nowin: bool,
     dbg_scalar: bool,
-    dbg_frontier: Option<std::collections::HashMap<(u64, u8), u64>>,
 }
 
 impl CoreSim {
@@ -316,24 +313,8 @@ impl CoreSim {
             window_wait: 0,
             mem_wait: 0,
             batch: BatchScratch::default(),
-            dbg_nodep: std::env::var_os("CHECKELIDE_NODEP").is_some(),
-            dbg_nowin: std::env::var_os("CHECKELIDE_NOWIN").is_some(),
             dbg_scalar: std::env::var_os("CHECKELIDE_SCALAR_SIM").is_some(),
-            dbg_frontier: std::env::var_os("CHECKELIDE_FRONTIER")
-                .map(|_| std::collections::HashMap::new()),
         }
-    }
-
-    /// Debug: top frontier-advancing (pc, kind) sites.
-    pub fn dbg_top_frontier(&self) -> Vec<((u64, u8), u64)> {
-        let mut v: Vec<_> = self
-            .dbg_frontier
-            .as_ref()
-            .map(|m| m.iter().map(|(k, val)| (*k, *val)).collect())
-            .unwrap_or_default();
-        v.sort_by_key(|&(_, adv)| std::cmp::Reverse(adv));
-        v.truncate(20);
-        v
     }
 
     /// Override energy parameters.
@@ -517,25 +498,20 @@ impl CoreSim {
         // version also popped after the push below, transiently holding
         // `window_size + 1` entries and skewing `window_wait`.)
         if len >= self.config.window_size {
-            let head = self.window.pop_front();
-            if !self.dbg_nowin {
-                dispatch = dispatch.max(head);
-            }
+            dispatch = dispatch.max(self.window.pop_front());
         }
         self.window_wait += dispatch - fetch;
 
         // Operand readiness.
         let mut start = dispatch;
-        if !self.dbg_nodep {
-            for src in uop.srcs {
-                if src.is_some() {
-                    // Generation check: a slot only supplies a ready time
-                    // for the exact token that wrote it. Tokens that no
-                    // µop produced (pure placeholders) are ready at once.
-                    let (tok, t) = self.ready[(src.0 & 0xFFFF) as usize];
-                    if tok == src.0 {
-                        start = start.max(t);
-                    }
+        for src in uop.srcs {
+            if src.is_some() {
+                // Generation check: a slot only supplies a ready time
+                // for the exact token that wrote it. Tokens that no
+                // µop produced (pure placeholders) are ready at once.
+                let (tok, t) = self.ready[(src.0 & 0xFFFF) as usize];
+                if tok == src.0 {
+                    start = start.max(t);
                 }
             }
         }
@@ -599,9 +575,6 @@ impl CoreSim {
         // Attribute frontier advance to this µop's region.
         if complete > self.frontier {
             self.regions[region].cycles += complete - self.frontier;
-            if let Some(m) = self.dbg_frontier.as_mut() {
-                *m.entry((uop.pc, uop.kind as u8)).or_insert(0) += complete - self.frontier;
-            }
             self.frontier = complete;
         }
         self.regions[region].dynamic_pj += energy;
@@ -717,8 +690,6 @@ impl CoreSim {
         let e_tlb = self.energy.tlb_access;
         let energy_tab = self.uop_energy_tab;
         let lat_tab = self.exec_lat_tab;
-        let nodep = self.dbg_nodep;
-        let nowin = self.dbg_nowin;
         let mut fetch_rem = self.fetch_rem;
         let mut fetch_quot = self.fetch_quot;
         let mut fetch_stall = self.fetch_stall;
@@ -802,22 +773,18 @@ impl CoreSim {
                     whead = 0;
                 }
                 wlen -= 1;
-                if !nowin {
-                    dispatch = dispatch.max(head);
-                }
+                dispatch = dispatch.max(head);
             }
             window_wait += dispatch - fetch;
 
             let mut start = dispatch;
-            if !nodep {
-                // Branch-free: a NONE source masks to slot 0, whose
-                // stored token can never equal the NONE token under the
-                // `src != 0` guard.
-                for src in u.srcs {
-                    let (tok, t) = ready[(src.0 & 0xFFFF) as usize];
-                    if src.0 != 0 && tok == src.0 {
-                        start = start.max(t);
-                    }
+            // Branch-free: a NONE source masks to slot 0, whose stored
+            // token can never equal the NONE token under the `src != 0`
+            // guard.
+            for src in u.srcs {
+                let (tok, t) = ready[(src.0 & 0xFFFF) as usize];
+                if src.0 != 0 && tok == src.0 {
+                    start = start.max(t);
                 }
             }
             src_wait += start - dispatch;
@@ -938,10 +905,9 @@ impl TraceSink for CoreSim {
 
     /// Run the structure-of-arrays walk over the slice (in ≤256-µop
     /// chunks, so the scratch arrays stay L1-resident). Falls back to the
-    /// scalar walk when `CHECKELIDE_SCALAR_SIM` is set or the
-    /// frontier-attribution debug map is active.
+    /// scalar walk when `CHECKELIDE_SCALAR_SIM` is set.
     fn emit_batch(&mut self, uops: &[Uop]) {
-        if self.dbg_scalar || self.dbg_frontier.is_some() {
+        if self.dbg_scalar {
             for u in uops {
                 self.emit_one(u);
             }
