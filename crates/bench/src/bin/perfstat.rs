@@ -158,18 +158,29 @@ struct TierRun {
     stats: VmStats,
 }
 
-/// Run `bench` to steady state in one tier and time repeated calls.
-/// `regions: false` pins the plan-walking tier; `regions: true` tiers
-/// up to compiled regions after one optimized activation.
-fn engine_tier_run(bench: &str, scale: i32, calls: u32, reps: u32, regions: bool) -> TierRun {
-    let b = find(bench).unwrap_or_else(|| panic!("unknown benchmark `{bench}`"));
-    let mut vm = Vm::new(EngineConfig {
+/// The engine configuration of a region-tier probe: `regions: false`
+/// pins the plan-walking tier; `regions: true` tiers up to compiled
+/// regions after one optimized activation.
+fn tier_config(regions: bool) -> EngineConfig {
+    EngineConfig {
         mechanism: Mechanism::ProfileOnly,
         opt_enabled: true,
         regions,
         region_threshold: 1,
         ..EngineConfig::default()
-    });
+    }
+}
+
+/// Run `bench` to steady state under `engine` and time repeated calls.
+fn engine_tier_run(
+    bench: &str,
+    scale: i32,
+    calls: u32,
+    reps: u32,
+    engine: EngineConfig,
+) -> TierRun {
+    let b = find(bench).unwrap_or_else(|| panic!("unknown benchmark `{bench}`"));
+    let mut vm = Vm::new(engine);
     install_optimizer(&mut vm);
     let mut null = NullSink::new();
     vm.run_program(b.source, &mut null).expect("setup");
@@ -363,8 +374,11 @@ fn main() {
     // --- mechanisms: per-configuration check/elision counts -----------
     // The same cell under each head-to-head configuration (untimed):
     // check µops retired, checks elided relative to `opt-noelide`, total
-    // µops, and BBV version-table activity.
+    // µops, and BBV version-table activity; plus, report-only, the
+    // configuration's steady-state engine throughput into a NullSink
+    // (what BBV block transitions cost the engine).
     eprintln!("per-mechanism check counts ({bench}) ...");
+    let engine_calls = if cli.quick { 3 } else { 6 };
     let mech_cfgs: [RunConfig; 5] = [
         RunConfig::baseline_timed().with_timing(false),
         RunConfig::characterize(),
@@ -376,19 +390,21 @@ fn main() {
     for (label, mcfg) in BBV_CONFIGS.iter().zip(mech_cfgs) {
         let m = try_run_benchmark(b, mcfg.with_scale(scale)).expect("mechanism cell");
         assert_eq!(m.checksum, out.checksum, "{label} diverged from the characterize cell");
+        let engine = engine_tier_run(&bench, scale, engine_calls, reps, mcfg.engine_config());
         mech_rows.push((
             *label,
             m.counters.by_category(checkelide_isa::Category::Check),
             m.uops,
             m.vm_stats.bbv_versions,
             m.vm_stats.bbv_cap_fallbacks,
+            engine.mops,
         ));
     }
     let noelide_checks = mech_rows[1].1;
     let mechanisms = Json::Arr(
         mech_rows
             .iter()
-            .map(|&(label, checks, uops, versions, fallbacks)| {
+            .map(|&(label, checks, uops, versions, fallbacks, engine_mops)| {
                 Json::Obj(vec![
                     ("config", Json::Str(label.to_string())),
                     ("checks", Json::UInt(checks)),
@@ -396,6 +412,7 @@ fn main() {
                     ("uops", Json::UInt(uops)),
                     ("bbv_versions", Json::UInt(versions)),
                     ("bbv_cap_fallbacks", Json::UInt(fallbacks)),
+                    ("engine_mops", Json::Num(engine_mops)),
                 ])
             })
             .collect(),
@@ -407,12 +424,11 @@ fn main() {
     // (the tiers are byte-identical by contract), so the wall-clock
     // ratio is pure dispatch overhead removed by region compilation.
     let engine_kernels: &[&str] = &["bitops-bits-in-byte", "math-cordic", "ai-astar"];
-    let engine_calls = if cli.quick { 3 } else { 6 };
     let mut engine_rows = Vec::new();
     for &kernel in engine_kernels {
         eprintln!("engine tiers: {kernel} (scale {scale}) ...");
-        let plan = engine_tier_run(kernel, scale, engine_calls, reps, false);
-        let region = engine_tier_run(kernel, scale, engine_calls, reps, true);
+        let plan = engine_tier_run(kernel, scale, engine_calls, reps, tier_config(false));
+        let region = engine_tier_run(kernel, scale, engine_calls, reps, tier_config(true));
         assert_eq!(
             plan.uops_per_call, region.uops_per_call,
             "{kernel}: tiers retired different µop counts"
@@ -731,9 +747,10 @@ fn main() {
         );
     }
     println!("== per-mechanism checks ({bench}) ==");
-    for &(label, checks, uops, versions, fallbacks) in &mech_rows {
+    for &(label, checks, uops, versions, fallbacks, engine_mops) in &mech_rows {
         print!(
-            "  {label:<12} checks={checks:<10} elided={:<10} uops={uops}",
+            "  {label:<12} checks={checks:<10} elided={:<10} uops={uops:<10} \
+             engine {engine_mops:6.1} Mµops/s",
             noelide_checks.saturating_sub(checks)
         );
         if versions > 0 {

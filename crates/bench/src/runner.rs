@@ -106,6 +106,17 @@ impl RunConfig {
         self.bbv = bbv;
         self
     }
+
+    /// The engine configuration every iteration of this run uses.
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            mechanism: self.mechanism,
+            opt_enabled: self.opt,
+            class_cache: self.class_cache,
+            bbv: self.bbv,
+            ..EngineConfig::default()
+        }
+    }
 }
 
 /// A typed benchmark failure.
@@ -521,14 +532,7 @@ fn run_live(
     cfg: RunConfig,
     record: Option<&mut dyn TraceSink>,
 ) -> Result<RunOutput, RunError> {
-    let engine_cfg = EngineConfig {
-        mechanism: cfg.mechanism,
-        opt_enabled: cfg.opt,
-        class_cache: cfg.class_cache,
-        bbv: cfg.bbv,
-        ..EngineConfig::default()
-    };
-    let mut vm = Vm::new(engine_cfg);
+    let mut vm = Vm::new(cfg.engine_config());
     if cfg.opt {
         install_optimizer(&mut vm);
     }

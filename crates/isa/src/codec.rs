@@ -304,6 +304,56 @@ const SHAPE_ESCAPE: u8 = 0xFF;
 /// Maximum dictionary size (index `0xFF` is the escape).
 const MAX_SHAPES: usize = 255;
 
+/// Slots of the writer's shape table: a power of two with room for
+/// [`MAX_SHAPES`] keys at a load factor of at most one quarter.
+const SHAPE_SLOT_BITS: u32 = 10;
+const SHAPE_SLOTS: usize = 1 << SHAPE_SLOT_BITS;
+/// An empty slot. Packed shapes keep byte 3 zero, so no shape equals it.
+const NO_SHAPE: u32 = u32::MAX;
+
+/// The writer's shape → dictionary-index map: a fixed open-addressing
+/// table with linear probing. Indices are assigned in first-seen order
+/// and never removed, exactly the dictionary the reader rebuilds.
+struct ShapeTable {
+    keys: Box<[u32; SHAPE_SLOTS]>,
+    ixs: Box<[u8; SHAPE_SLOTS]>,
+    len: usize,
+}
+
+impl ShapeTable {
+    fn new() -> ShapeTable {
+        ShapeTable {
+            keys: Box::new([NO_SHAPE; SHAPE_SLOTS]),
+            ixs: Box::new([0; SHAPE_SLOTS]),
+            len: 0,
+        }
+    }
+
+    /// The dictionary index of a known `shape`. A shape seen for the
+    /// first time returns `None` (it is escaped) and, while the
+    /// dictionary has room, takes the next index.
+    #[inline]
+    fn index(&mut self, shape: u32) -> Option<u8> {
+        // Fibonacci hashing onto the top bits of the slot index.
+        let mut i = (shape.wrapping_mul(0x9e37_79b1) >> (32 - SHAPE_SLOT_BITS)) as usize;
+        loop {
+            let k = self.keys[i];
+            if k == shape {
+                return Some(self.ixs[i]);
+            }
+            if k == NO_SHAPE {
+                if self.len < MAX_SHAPES {
+                    self.keys[i] = shape;
+                    self.ixs[i] = self.len as u8;
+                    self.len += 1;
+                }
+                return None;
+            }
+            i = (i + 1) & (SHAPE_SLOTS - 1);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Varint helpers
 // ---------------------------------------------------------------------------
@@ -467,7 +517,7 @@ pub struct TraceWriter<W: Write> {
     payload: Vec<u8>,
     /// Scratch frame-header buffer.
     head: Vec<u8>,
-    shapes: std::collections::HashMap<u32, u8>,
+    shapes: ShapeTable,
     delta: DeltaState,
     uops: u64,
     bytes: u64,
@@ -484,7 +534,7 @@ impl<W: Write> TraceWriter<W> {
             stage: Vec::with_capacity(BATCH_CAPACITY),
             payload: Vec::with_capacity(4096),
             head: Vec::with_capacity(16),
-            shapes: std::collections::HashMap::new(),
+            shapes: ShapeTable::new(),
             delta: DeltaState::new(),
             uops: 0,
             bytes: 5,
@@ -500,15 +550,11 @@ impl<W: Write> TraceWriter<W> {
         self.payload.clear();
         for u in &self.stage {
             let shape = Shape::pack(u);
-            match self.shapes.get(&shape.0) {
-                Some(&ix) => self.payload.push(ix),
+            match self.shapes.index(shape.0) {
+                Some(ix) => self.payload.push(ix),
                 None => {
                     self.payload.push(SHAPE_ESCAPE);
                     self.payload.extend_from_slice(&shape.0.to_le_bytes());
-                    if self.shapes.len() < MAX_SHAPES {
-                        let ix = self.shapes.len() as u8;
-                        self.shapes.insert(shape.0, ix);
-                    }
                 }
             }
             put_svarint(&mut self.payload, u.pc.wrapping_sub(self.delta.prev_pc) as i64);
@@ -1111,6 +1157,82 @@ mod tests {
             decode_trace(&bytes),
             Err(TraceError::Corrupt { what: "trailer µop count mismatch", .. })
         ));
+    }
+
+    /// The writer's format encoded with a `HashMap` dictionary: the
+    /// reference the open-addressing shape table must match byte for byte.
+    fn reference_encode(uops: &[Uop]) -> Vec<u8> {
+        let mut out = TRACE_MAGIC.to_vec();
+        out.push(TRACE_VERSION);
+        let mut shapes = std::collections::HashMap::<u32, u8>::new();
+        let mut d = DeltaState::new();
+        for frame in uops.chunks(BATCH_CAPACITY) {
+            let mut p = Vec::new();
+            for u in frame {
+                let shape = Shape::pack(u).0;
+                match shapes.get(&shape) {
+                    Some(&ix) => p.push(ix),
+                    None => {
+                        p.push(SHAPE_ESCAPE);
+                        p.extend_from_slice(&shape.to_le_bytes());
+                        if shapes.len() < MAX_SHAPES {
+                            let ix = shapes.len() as u8;
+                            shapes.insert(shape, ix);
+                        }
+                    }
+                }
+                put_svarint(&mut p, u.pc.wrapping_sub(d.prev_pc) as i64);
+                d.prev_pc = u.pc;
+                for t in [u.srcs[0], u.srcs[1], u.dst].into_iter().filter(|t| t.is_some()) {
+                    put_svarint(&mut p, i64::from(t.0.wrapping_sub(d.prev_tok) as i32));
+                    d.prev_tok = t.0;
+                }
+                if let Some(m) = u.mem {
+                    put_svarint(&mut p, m.addr.wrapping_sub(d.prev_addr) as i64);
+                    d.prev_addr = m.addr;
+                }
+            }
+            put_varint(&mut out, frame.len() as u64);
+            put_varint(&mut out, p.len() as u64);
+            out.extend_from_slice(&p);
+        }
+        put_varint(&mut out, 0);
+        put_varint(&mut out, uops.len() as u64);
+        out.extend_from_slice(&TRACE_END_MAGIC);
+        out
+    }
+
+    #[test]
+    fn shape_table_matches_hashmap_reference_past_dictionary_overflow() {
+        // 300 distinct shapes (mixed-radix over kind, category, taken and
+        // region): the first 255 enter the dictionary, the other 45 are
+        // escaped on every occurrence. Three rounds exercise first sight,
+        // dictionary hits and the overflow path across frame boundaries.
+        let mut trace = Vec::new();
+        for round in 0..3u64 {
+            for i in 0..300usize {
+                let pc = 0x4000 + (round * 300 + i as u64) * 4;
+                let mut u = Uop::new(
+                    KIND_TABLE[i % 15],
+                    pc,
+                    CATEGORY_TABLE[(i / 15) % 5],
+                    REGION_TABLE[i / 150],
+                );
+                u.taken = (i / 75) % 2 == 1;
+                u.srcs = [Tok(i as u32 + 1), Tok::NONE];
+                if i % 3 == 0 {
+                    u.mem = Some(MemRef::load(0x10000 + i as u64 * 8));
+                }
+                trace.push(u);
+            }
+        }
+        let shapes: std::collections::HashSet<u32> =
+            trace.iter().map(|u| Shape::pack(u).0).collect();
+        assert_eq!(shapes.len(), 300);
+        let bytes = encode_trace(&trace);
+        assert_eq!(bytes, reference_encode(&trace));
+        assert_eq!(decode_trace(&bytes).expect("decodes"), trace);
+        assert_eq!(encode_trace(&sample_trace()), reference_encode(&sample_trace()));
     }
 
     #[test]

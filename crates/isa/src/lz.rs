@@ -243,12 +243,25 @@ pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
         if out.len() + mlen > expected {
             return Err(LzError::TooLong { offset: c.pos });
         }
-        // Byte-at-a-time copy: overlapping back-references (offset < len)
-        // intentionally re-read bytes this same copy produced.
-        for from in out.len() - off..out.len() - off + mlen {
-            let b = out[from];
-            out.push(b);
-        }
+        copy_match(&mut out, off, mlen);
+    }
+}
+
+/// Append the `len`-byte back-reference at distance `off` (checked:
+/// `1 <= off <= out.len()`). A reference with `off >= len` is one
+/// block copy. An overlapping one (`off < len`) re-reads bytes the copy
+/// itself produces, so its output repeats the `off` bytes at `start`
+/// with period `off`: it is copied from `start` in chunks that double
+/// in length, each written a whole number of periods past `start` and
+/// reading only bytes already written.
+#[inline]
+fn copy_match(out: &mut Vec<u8>, off: usize, len: usize) {
+    let start = out.len() - off;
+    let mut done = 0;
+    while done < len {
+        let n = (len - done).min(off + done);
+        out.extend_from_within(start..start + n);
+        done += n;
     }
 }
 
@@ -359,6 +372,55 @@ mod tests {
                 })
                 .collect();
             let _ = decompress(&junk, 4096);
+        }
+    }
+
+    /// Byte-at-a-time reference for a back-reference copy.
+    fn copy_bytewise(out: &mut Vec<u8>, off: usize, len: usize) {
+        for from in out.len() - off..out.len() - off + len {
+            let b = out[from];
+            out.push(b);
+        }
+    }
+
+    #[test]
+    fn block_copy_matches_bytewise_reference() {
+        let prefix: Vec<u8> = (1..=16u8).collect();
+        for off in 1..=16 {
+            for len in MIN_MATCH..=300 {
+                let mut want = prefix.clone();
+                copy_bytewise(&mut want, off, len);
+                let mut got = prefix.clone();
+                copy_match(&mut got, off, len);
+                assert_eq!(got, want, "off {off} len {len}");
+                // The same match through the stream decoder.
+                let mut stream = Vec::new();
+                put_sequence(&mut stream, &prefix, Some((off, len)));
+                put_sequence(&mut stream, &[], None);
+                assert_eq!(decompress(&stream, want.len()).expect("decodes"), want);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn block_copy_matches_bytewise_on_random_inputs(
+            prefix in proptest::collection::vec(0u8..4, 1..80),
+            off_pick in proptest::prelude::any::<usize>(),
+            len in 0usize..1500,
+            runs in proptest::collection::vec((0u8..3, 1usize..40), 1..60),
+        ) {
+            let off = 1 + off_pick % prefix.len();
+            let mut want = prefix.clone();
+            copy_bytewise(&mut want, off, len);
+            let mut got = prefix.clone();
+            copy_match(&mut got, off, len);
+            assert_eq!(got, want, "off {off} len {len}");
+            // Low-entropy runs: the compressor emits overlapping matches
+            // at many offsets, all decoded by block copy.
+            let data: Vec<u8> =
+                runs.iter().flat_map(|&(b, n)| std::iter::repeat_n(b, n)).collect();
+            round_trip(&data);
         }
     }
 

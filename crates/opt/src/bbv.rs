@@ -23,6 +23,11 @@
 //! broken assumption (map transition, SMI overflow, epoch bump,
 //! misspeculation) resumes the baseline interpreter exactly as before.
 //!
+//! As in the published lazy BBV, a block's out-edges start as stubs:
+//! the first transition along an edge resolves the successor version
+//! and patches the edge slot ([`BbvState::successor`]), so later
+//! transitions neither compare nor copy the exit context.
+//!
 //! [`CheckKind::None`]: crate::plan::CheckKind::None
 //! [`CheckKind::Map`]: crate::plan::CheckKind::Map
 
@@ -31,7 +36,6 @@ use crate::context::TypeCtx;
 use crate::plan::OpPlan;
 use checkelide_engine::bytecode::{Bc, BytecodeFunc};
 use checkelide_engine::{Mechanism, Vm};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Maximum specialized versions per block; past it, entry falls back
@@ -44,6 +48,8 @@ pub const VERSION_CAP: u32 = 5;
 /// every out-edge hands to the successor leader.
 #[derive(Debug)]
 pub struct BlockVersion {
+    /// Index in the owning [`BbvState`]'s version arena.
+    pub id: u32,
     /// First pc of the block (a leader).
     pub leader: usize,
     /// Last pc of the block (inclusive).
@@ -54,6 +60,19 @@ pub struct BlockVersion {
     pub exit: TypeCtx,
 }
 
+/// A patched out-edge stub: the version `target` that the exit context
+/// resolved to at `leader`. `fallback` records that the resolution went
+/// through the version cap, which is charged again on every traversal.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    leader: u32,
+    target: u32,
+    fallback: bool,
+}
+
+/// An unpatched stub (no leader is `u32::MAX`).
+const STUB: Edge = Edge { leader: u32::MAX, target: 0, fallback: false };
+
 /// Per-function version table, attached to an `OptimizedBody` when the
 /// engine runs with `EngineConfig::bbv`.
 #[derive(Debug)]
@@ -61,12 +80,19 @@ pub struct BbvState {
     /// `leaders[pc]`: pc starts a basic block (entry, jump targets,
     /// fallthrough successors of conditional branches).
     leaders: Vec<bool>,
-    /// Materialized versions keyed by (leader, incoming context).
-    versions: HashMap<(u32, TypeCtx), Rc<BlockVersion>>,
-    /// Non-generic versions per leader (cap accounting).
-    specialized: HashMap<u32, u32>,
-    /// Total versions materialized (generic included; reporting).
-    pub versions_materialized: u32,
+    /// Version arena, indexed by [`BlockVersion::id`]. Versions are
+    /// never removed, so an id (and a patched edge) stays valid.
+    all: Vec<Rc<BlockVersion>>,
+    /// `by_leader[pc]`: (incoming context, version id) pairs at that
+    /// leader — at most [`VERSION_CAP`] specialized plus the generic
+    /// one, searched by equality.
+    by_leader: Vec<Vec<(TypeCtx, u32)>>,
+    /// `specialized[pc]`: non-generic versions at that leader (cap
+    /// accounting).
+    specialized: Vec<u32>,
+    /// `edges[id]`: version `id`'s out-edge stubs. A block ends in a
+    /// fallthrough, `Jump` or `JumpIf*`, so two slots cover it.
+    edges: Vec<[Edge; 2]>,
     /// Entries redirected to the generic version by the cap.
     pub cap_fallbacks: u32,
 }
@@ -96,11 +122,13 @@ pub fn leaders(bc: &BytecodeFunc) -> Vec<bool> {
 impl BbvState {
     /// Empty version table for a function.
     pub fn new(bc: &BytecodeFunc) -> BbvState {
+        let n = bc.code.len();
         BbvState {
             leaders: leaders(bc),
-            versions: HashMap::new(),
-            specialized: HashMap::new(),
-            versions_materialized: 0,
+            all: Vec::new(),
+            by_leader: vec![Vec::new(); n],
+            specialized: vec![0; n],
+            edges: Vec::new(),
             cap_fallbacks: 0,
         }
     }
@@ -108,6 +136,11 @@ impl BbvState {
     /// Whether `pc` starts a basic block.
     pub fn is_leader(&self, pc: usize) -> bool {
         self.leaders[pc]
+    }
+
+    /// Total versions materialized (generic included; reporting).
+    pub fn versions_materialized(&self) -> u32 {
+        self.all.len() as u32
     }
 
     /// Look up — lazily materializing — the version of the block at
@@ -121,23 +154,83 @@ impl BbvState {
         func: u32,
         bc: &BytecodeFunc,
         leader: usize,
-        ctx: TypeCtx,
+        ctx: &TypeCtx,
     ) -> Rc<BlockVersion> {
-        debug_assert!(self.leaders[leader], "version lookup at non-leader pc {leader}");
-        let mut ctx = ctx;
-        if let Some(v) = self.versions.get(&(leader as u32, ctx.clone())) {
-            return v.clone();
+        let (id, _) = self.resolve(vm, func, bc, leader, ctx);
+        Rc::clone(&self.all[id as usize])
+    }
+
+    /// The version control enters when it leaves `from` for `leader`:
+    /// exactly `version(vm, func, bc, leader, &from.exit)`, memoized in
+    /// `from`'s edge slot after the first traversal. Nothing is ever
+    /// removed from the table and the cap count only grows, so a
+    /// resolved edge can never resolve differently; an edge resolved
+    /// through the cap fallback is charged to the fallback counters on
+    /// every traversal, as the unmemoized lookup would be.
+    pub fn successor(
+        &mut self,
+        vm: &mut Vm,
+        func: u32,
+        bc: &BytecodeFunc,
+        from: &BlockVersion,
+        leader: usize,
+    ) -> Rc<BlockVersion> {
+        let slots = &self.edges[from.id as usize];
+        if let Some(e) = slots.iter().find(|e| e.leader == leader as u32) {
+            if e.fallback {
+                self.cap_fallbacks += 1;
+                vm.stats.bbv_cap_fallbacks += 1;
+            }
+            return Rc::clone(&self.all[e.target as usize]);
         }
-        if !ctx.is_generic()
-            && self.specialized.get(&(leader as u32)).copied().unwrap_or(0) >= VERSION_CAP
-        {
+        let (target, fallback) = self.resolve(vm, func, bc, leader, &from.exit);
+        let slots = &mut self.edges[from.id as usize];
+        if let Some(slot) = slots.iter_mut().find(|e| e.leader == STUB.leader) {
+            *slot = Edge { leader: leader as u32, target, fallback };
+        }
+        Rc::clone(&self.all[target as usize])
+    }
+
+    /// The version id for (`leader`, `ctx`), and whether the cap
+    /// redirected it to the generic version.
+    fn resolve(
+        &mut self,
+        vm: &mut Vm,
+        func: u32,
+        bc: &BytecodeFunc,
+        leader: usize,
+        ctx: &TypeCtx,
+    ) -> (u32, bool) {
+        debug_assert!(self.leaders[leader], "version lookup at non-leader pc {leader}");
+        if let Some(id) = self.find(leader, ctx) {
+            return (id, false);
+        }
+        if !ctx.is_generic() && self.specialized[leader] >= VERSION_CAP {
             self.cap_fallbacks += 1;
             vm.stats.bbv_cap_fallbacks += 1;
-            ctx = ctx.generic_of();
-            if let Some(v) = self.versions.get(&(leader as u32, ctx.clone())) {
-                return v.clone();
-            }
+            let generic = ctx.generic_of();
+            let id = match self.find(leader, &generic) {
+                Some(id) => id,
+                None => self.materialize(vm, func, bc, leader, generic),
+            };
+            return (id, true);
         }
+        (self.materialize(vm, func, bc, leader, ctx.clone()), false)
+    }
+
+    fn find(&self, leader: usize, ctx: &TypeCtx) -> Option<u32> {
+        self.by_leader[leader].iter().find(|(c, _)| c == ctx).map(|&(_, id)| id)
+    }
+
+    /// Plan the block at `leader` for `ctx` and enter it in the table.
+    fn materialize(
+        &mut self,
+        vm: &mut Vm,
+        func: u32,
+        bc: &BytecodeFunc,
+        leader: usize,
+        ctx: TypeCtx,
+    ) -> u32 {
         let elide = vm.config.mechanism == Mechanism::Full;
         let mut ba = analyze_block(vm, func, bc, leader, &self.leaders, ctx.seed_state(), elide);
         if !ba.speculations.is_empty() {
@@ -154,19 +247,21 @@ impl BbvState {
                 ba = analyze_block(vm, func, bc, leader, &self.leaders, ctx.seed_state(), false);
             }
         }
-        let ver = Rc::new(BlockVersion {
+        let id = self.all.len() as u32;
+        self.all.push(Rc::new(BlockVersion {
+            id,
             leader,
             end: ba.end,
             plans: ba.plans,
             exit: TypeCtx::of_state(&ba.exit),
-        });
+        }));
+        self.edges.push([STUB; 2]);
         if !ctx.is_generic() {
-            *self.specialized.entry(leader as u32).or_insert(0) += 1;
+            self.specialized[leader] += 1;
         }
-        self.versions_materialized += 1;
         vm.stats.bbv_versions += 1;
-        self.versions.insert((leader as u32, ctx), ver.clone());
-        ver
+        self.by_leader[leader].push((ctx, id));
+        id
     }
 }
 
@@ -178,7 +273,8 @@ pub fn block_successors(bc: &BytecodeFunc, end: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use checkelide_runtime::Value;
+    use crate::context::TypeTag;
+    use checkelide_runtime::{MapIx, Value};
 
     fn bc_of(src: &str) -> (Vm, u32, Rc<BytecodeFunc>) {
         use checkelide_engine::EngineConfig;
@@ -214,30 +310,69 @@ mod tests {
 
     #[test]
     fn entry_block_materializes_and_chains() {
-        // Walk versions from the entry block along exit contexts until
-        // a terminal block; every hop must stay inside the function and
-        // carry plans for exactly its pc range.
+        // Walk every out-edge from the entry block until the walk closes;
+        // every hop must stay inside the function, carry plans for
+        // exactly its pc range, and the memoized edge must hand back the
+        // very version the context lookup returns.
         let (mut vm, func, bc) = bc_of(
             "function f(x) { var s = 0; for (var i = 0; i < x; i++) { s = s + i; } return s; } f(5);",
         );
         let mut st = BbvState::new(&bc);
-        let entry = TypeCtx::entry(&vm, bc.n_locals as usize, bc.params as usize, Value::smi(0), &[Value::smi(5)]);
-        let mut ver = st.version(&mut vm, func, &bc, 0, entry);
+        let (n_locals, params) = (bc.n_locals as usize, bc.params as usize);
+        let entry = TypeCtx::entry(&vm, n_locals, params, Value::smi(0), &[Value::smi(5)]);
+        let mut work = vec![st.version(&mut vm, func, &bc, 0, &entry)];
         let mut seen = std::collections::HashSet::new();
-        loop {
+        while let Some(ver) = work.pop() {
             assert!(ver.end < bc.code.len());
             assert_eq!(ver.plans.len(), ver.end - ver.leader + 1);
-            if !seen.insert(Rc::as_ptr(&ver) as usize) {
-                break; // back edge reached an already-materialized version
+            if !seen.insert(ver.id) {
+                continue; // back edge reached an already-walked version
             }
-            let succs = block_successors(&bc, ver.end);
-            let Some(&next) = succs.first() else { break };
-            assert!(st.is_leader(next), "block exits only into leaders");
-            let ctx = ver.exit.clone();
-            ver = st.version(&mut vm, func, &bc, next, ctx);
+            for next in block_successors(&bc, ver.end) {
+                assert!(st.is_leader(next), "block exits only into leaders");
+                let via_edge = st.successor(&mut vm, func, &bc, &ver, next);
+                let via_ctx = st.version(&mut vm, func, &bc, next, &ver.exit);
+                assert!(Rc::ptr_eq(&via_edge, &via_ctx), "edge {} -> {next} diverged", ver.id);
+                let again = st.successor(&mut vm, func, &bc, &ver, next);
+                assert!(Rc::ptr_eq(&again, &via_ctx), "patched edge {} -> {next} moved", ver.id);
+                work.push(via_edge);
+            }
             assert!(seen.len() < 64, "version chain diverged");
         }
-        assert!(st.versions_materialized >= 2);
+        assert!(st.versions_materialized() >= 2);
+        assert_eq!(st.cap_fallbacks, 0);
+    }
+
+    #[test]
+    fn memoized_fallback_edge_charges_every_traversal() {
+        let (mut vm, func, bc) =
+            bc_of("function f(x) { var y = 0; if (x) { y = 1; } return y; } f(1);");
+        let mut st = BbvState::new(&bc);
+        let (n_locals, params) = (bc.n_locals as usize, bc.params as usize);
+        let entry = TypeCtx::entry(&vm, n_locals, params, Value::smi(0), &[Value::smi(1)]);
+        let from = st.version(&mut vm, func, &bc, 0, &entry);
+        let next = from.end + 1;
+        assert!(st.is_leader(next));
+        // Fill the successor's cap with contexts the exit context of
+        // `from` cannot equal (`x` entered as a SMI).
+        use TypeTag::{Bool, HeapNum, Map, Number, Str};
+        for x in [Number, HeapNum, Str, Bool, Map(MapIx(0))] {
+            let mut c = from.exit.generic_of();
+            c.locals[0] = x;
+            assert_ne!(c, from.exit);
+            st.version(&mut vm, func, &bc, next, &c);
+        }
+        let generic = st.version(&mut vm, func, &bc, next, &from.exit.generic_of());
+        let (versions, fallbacks, vm_fallbacks) =
+            (st.versions_materialized(), st.cap_fallbacks, vm.stats.bbv_cap_fallbacks);
+        const N: u32 = 7;
+        for _ in 0..N {
+            let v = st.successor(&mut vm, func, &bc, &from, next);
+            assert!(Rc::ptr_eq(&v, &generic), "capped edge resolves to the generic version");
+        }
+        assert_eq!(st.versions_materialized(), versions, "nothing re-materialized");
+        assert_eq!(st.cap_fallbacks, fallbacks + N);
+        assert_eq!(vm.stats.bbv_cap_fallbacks, vm_fallbacks + u64::from(N));
     }
 
     #[test]
@@ -246,22 +381,21 @@ mod tests {
         let mut st = BbvState::new(&bc);
         let mk = |tag| TypeCtx {
             locals: vec![tag; bc.n_locals as usize],
-            this: crate::context::TypeTag::Unknown,
+            this: TypeTag::Unknown,
             stack: Vec::new(),
         };
-        use crate::context::TypeTag;
         let tags = [
             TypeTag::Smi,
             TypeTag::Number,
             TypeTag::HeapNum,
             TypeTag::Str,
             TypeTag::Bool,
-            TypeTag::Map(checkelide_runtime::MapIx(0)),
-            TypeTag::Map(checkelide_runtime::MapIx(1)),
+            TypeTag::Map(MapIx(0)),
+            TypeTag::Map(MapIx(1)),
         ];
         let mut distinct = std::collections::HashSet::new();
         for t in tags {
-            let v = st.version(&mut vm, func, &bc, 0, mk(t));
+            let v = st.version(&mut vm, func, &bc, 0, &mk(t));
             distinct.insert(Rc::as_ptr(&v) as usize);
         }
         // 5 specialized versions, then the 6th/7th context share one
@@ -269,9 +403,9 @@ mod tests {
         assert_eq!(st.cap_fallbacks, 2);
         assert_eq!(distinct.len(), VERSION_CAP as usize + 1);
         // The generic version is reused, not re-materialized.
-        let before = st.versions_materialized;
-        let g = st.version(&mut vm, func, &bc, 0, mk(TypeTag::Map(checkelide_runtime::MapIx(9))));
-        assert_eq!(st.versions_materialized, before);
+        let before = st.versions_materialized();
+        let g = st.version(&mut vm, func, &bc, 0, &mk(TypeTag::Map(MapIx(9))));
+        assert_eq!(st.versions_materialized(), before);
         assert!(distinct.contains(&(Rc::as_ptr(&g) as usize)));
     }
 }

@@ -414,21 +414,22 @@ impl<'a> Exec<'a> {
         // BBV: the current block version. Entered at pc 0 with the
         // context observed from the activation's concrete `this` and
         // arguments (entry-point specialization); every later block
-        // transition hands the predecessor's exit context to the
+        // transition follows the predecessor's memoized out-edge to the
         // successor leader. The `Rc` is cloned out of the version
         // table so no `RefCell` borrow is held while ops execute
         // (nested activations of the same function re-enter it).
-        let mut cur: Option<Rc<BlockVersion>> = if body.bbv.is_some() {
-            let ctx = TypeCtx::entry(
-                self.vm,
-                bc.n_locals as usize,
-                bc.params as usize,
-                self.this,
-                &self.locals[..(bc.params as usize).min(self.locals.len())],
-            );
-            Some(self.enter_block(0, ctx))
-        } else {
-            None
+        let mut cur: Option<Rc<BlockVersion>> = match &body.bbv {
+            Some(cell) => {
+                let ctx = TypeCtx::entry(
+                    self.vm,
+                    bc.n_locals as usize,
+                    bc.params as usize,
+                    self.this,
+                    &self.locals[..(bc.params as usize).min(self.locals.len())],
+                );
+                Some(cell.borrow_mut().version(self.vm, body.func, bc, 0, &ctx))
+            }
+            None => None,
         };
         loop {
             if self.vm.steps_remaining == 0 {
@@ -445,16 +446,14 @@ impl<'a> Exec<'a> {
                     pc += 1;
                     if let Some(v) = &cur {
                         if pc > v.end {
-                            let ctx = v.exit.clone();
-                            cur = Some(self.enter_block(pc, ctx));
+                            cur = Some(self.enter_block(v, pc));
                         }
                     }
                 }
                 Flow::Jump(t) => {
                     pc = t;
                     if let Some(v) = &cur {
-                        let ctx = v.exit.clone();
-                        cur = Some(self.enter_block(pc, ctx));
+                        cur = Some(self.enter_block(v, pc));
                     }
                 }
                 Flow::Return(v) => return ExecResult::Return(v),
@@ -464,11 +463,11 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// BBV: look up — lazily materializing — the version of the block
-    /// at `pc` for incoming context `ctx`.
-    fn enter_block(&mut self, pc: usize, ctx: TypeCtx) -> Rc<BlockVersion> {
+    /// BBV: the version of the block at `pc` that control enters on
+    /// leaving version `from` (its out-edge, resolved once then memoized).
+    fn enter_block(&mut self, from: &BlockVersion, pc: usize) -> Rc<BlockVersion> {
         let cell = self.body.bbv.as_ref().expect("bbv state");
-        cell.borrow_mut().version(self.vm, self.body.func, &self.body.bc, pc, ctx)
+        cell.borrow_mut().successor(self.vm, self.body.func, &self.body.bc, from, pc)
     }
 
     /// Map a handler's [`Flow`] back onto region control flow. A deopt
