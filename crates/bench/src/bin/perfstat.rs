@@ -66,13 +66,13 @@ use checkelide_bench::figures::{
 };
 use checkelide_bench::proto::{serve, RemoteStore};
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
-use checkelide_bench::store::{sha256, sha256_backend};
+use checkelide_bench::store::{sha256, sha256_backend, ObjectWriter};
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
 use checkelide_engine::{EngineConfig, Mechanism, Vm, VmStats};
-use checkelide_isa::codec::{encode_trace, TraceReader};
+use checkelide_isa::codec::{encode_trace, TraceReader, TraceWriter};
 use checkelide_isa::trace::VecSink;
 use checkelide_isa::uop::Uop;
-use checkelide_isa::{CounterSink, NullSink, TraceSink, BATCH_CAPACITY};
+use checkelide_isa::{lz, CounterSink, NullSink, TraceSink, BATCH_CAPACITY};
 use checkelide_opt::install_optimizer;
 use checkelide_runtime::Value;
 use checkelide_uarch::CoreSim;
@@ -355,6 +355,17 @@ fn main() {
         let n = rd.replay(std::hint::black_box(&mut sink)).expect("replay");
         assert_eq!(n, trace.len() as u64);
     });
+    // The recorder a cold cell runs: encode, hash and compress streamed
+    // into the object image, and the one-shot LZ pass on the same body.
+    let trace_record_mops = mops(trace.len(), reps, || {
+        let mut w = TraceWriter::new(ObjectWriter::new(true)).expect("object writer");
+        w.emit_batch(std::hint::black_box(&trace));
+        let (object, _) = w.finish_file().expect("infallible sink");
+        std::hint::black_box(object.finish());
+    });
+    let lz_compress_mbps = mops(encoded.len(), reps, || {
+        std::hint::black_box(lz::compress(std::hint::black_box(&encoded)));
+    });
     let trace_len = trace.len();
     let encoded_len = encoded.len();
     drop(encoded);
@@ -630,6 +641,8 @@ fn main() {
                 ("trace_encode_mops", Json::Num(trace_encode_mops)),
                 ("trace_replay_null_mops", Json::Num(trace_replay_null_mops)),
                 ("trace_replay_counter_mops", Json::Num(trace_replay_counter_mops)),
+                ("trace_record_mops", Json::Num(trace_record_mops)),
+                ("lz_compress_mbps", Json::Num(lz_compress_mbps)),
             ]),
         ),
         (
@@ -724,6 +737,10 @@ fn main() {
         "  encode {trace_encode_mops:8.1} Mµops/s   replay(Null) \
          {trace_replay_null_mops:8.1} Mµops/s   replay(Counter) \
          {trace_replay_counter_mops:8.1} Mµops/s"
+    );
+    println!(
+        "  record (encode + SHA-256 + LZ, streamed) {trace_record_mops:8.1} Mµops/s   \
+         lz::compress {lz_compress_mbps:.0} MB/s"
     );
     println!("== end-to-end cell ({bench}) ==");
     println!(

@@ -339,10 +339,12 @@ pub fn try_run_benchmark_cached(
         sim_tel.misses += 1;
         cache.note_sim_miss();
     }
-    // Record into memory: the raw encoded body is what the store hashes
-    // for its content ID, so it has to exist as one buffer anyway. Peak
-    // size is the encoded trace (~5 B/µop), tens of MB at full scale.
-    let mut writer = match TraceWriter::new(Vec::with_capacity(1 << 16)) {
+    // Record straight into the store's object format: each encoded frame
+    // streams through the content-ID hash and the LZ compressor as the
+    // measured iteration runs, so the raw body (~5 B/µop, tens of MB at
+    // full scale) never exists as one buffer — only the compressed
+    // object does.
+    let mut writer = match TraceWriter::new(cache.object_writer()) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("warning: trace cache cannot record {}: {e}", bench.name);
@@ -351,7 +353,7 @@ pub fn try_run_benchmark_cached(
     };
     let out = run_live(bench, cfg, Some(&mut writer))?;
     match writer.finish_file() {
-        Ok((raw, stats)) if stats.uops == out.uops => {
+        Ok((object, stats)) if stats.uops == out.uops => {
             let mut side = Sidecar {
                 key: entry.key.clone(),
                 counters: out.counters.snapshot(),
@@ -369,7 +371,7 @@ pub fn try_run_benchmark_cached(
             };
             // publish() fills the content-store location fields and
             // warns (never fails the run) on store/network problems.
-            cache.publish(&entry, &mut side, &raw);
+            cache.publish(&entry, &mut side, &object.finish());
             // Memoize the live simulation under the freshly-assigned CID:
             // the live CoreSim saw exactly the µops the recording holds
             // (one Tee fan-out), so a cold run warms both cache layers.

@@ -31,6 +31,9 @@
 //!   **raw** bytes, so the same trace stored compressed and uncompressed
 //!   dedups to one identity and every read re-verifies content integrity
 //!   end to end (decompress, hash, compare).
+//! * Recordings are written through an [`ObjectWriter`], which streams
+//!   the raw bytes through the hash and the compressor as they arrive, so
+//!   the raw body is never held in memory.
 //!
 //! # Crash safety and reclamation
 //!
@@ -64,7 +67,7 @@ use checkelide_uarch::{SimObject, SIM_OBJECT_LEN};
 
 mod sha256;
 
-pub use sha256::{sha256, sha256_backend};
+pub use sha256::{sha256, sha256_backend, Sha256};
 
 /// Lowercase hex rendering of a content ID.
 #[must_use]
@@ -111,27 +114,21 @@ pub struct ObjectImage {
 
 impl ObjectImage {
     /// Build the file image for a raw trace body, compressing when asked
-    /// *and* when compression actually shrinks the payload.
+    /// *and* when compression actually shrinks the payload: one
+    /// [`ObjectWriter`] write of the whole body.
     #[must_use]
     pub fn build(raw: &[u8], compress: bool) -> ObjectImage {
-        let cid = sha256(raw);
-        let (compression, payload) = if compress {
-            let packed = lz::compress(raw);
-            if packed.len() < raw.len() {
-                (COMPRESS_LZ, packed)
-            } else {
-                (COMPRESS_NONE, raw.to_vec())
-            }
-        } else {
-            (COMPRESS_NONE, raw.to_vec())
-        };
-        let mut bytes = Vec::with_capacity(OBJECT_HEADER_LEN + payload.len());
-        bytes.extend_from_slice(&OBJECT_MAGIC);
-        bytes.push(OBJECT_VERSION);
-        bytes.push(compression);
-        bytes.extend_from_slice(&(raw.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        ObjectImage { cid, compression, raw_len: raw.len() as u64, bytes }
+        let mut w = ObjectWriter::new(compress);
+        w.push(raw);
+        w.finish()
+    }
+
+    /// Fill `side`'s content-store location fields from this image.
+    pub(crate) fn locate(&self, side: &mut Sidecar) {
+        side.cid = self.cid;
+        side.compression = self.compression;
+        side.trace_bytes = self.raw_len;
+        side.stored_bytes = self.bytes.len() as u64;
     }
 
     /// Decode an object file image back to the raw trace bytes and verify
@@ -165,6 +162,91 @@ impl ObjectImage {
             return None;
         }
         Some(raw)
+    }
+}
+
+/// Streams a raw trace body into its [`ObjectImage`]: every write feeds
+/// the content-ID hash and, when compressing, the LZ stream, so the raw
+/// body is never held. The image is built in place behind a reserved
+/// header; [`ObjectWriter::finish`] returns exactly what
+/// [`ObjectImage::build`] returns for the concatenated input.
+#[derive(Debug)]
+pub struct ObjectWriter {
+    sha: Sha256,
+    raw_len: u64,
+    body: ObjectBody,
+}
+
+#[derive(Debug)]
+enum ObjectBody {
+    /// The LZ stream, after the reserved header.
+    Lz(lz::Compressor),
+    /// The raw payload, after the reserved header.
+    Raw(Vec<u8>),
+}
+
+impl ObjectWriter {
+    /// A writer for one object, LZ-compressed when `compress` is set and
+    /// compression shrinks the payload.
+    #[must_use]
+    pub fn new(compress: bool) -> ObjectWriter {
+        let header = vec![0; OBJECT_HEADER_LEN];
+        let body = if compress {
+            ObjectBody::Lz(lz::Compressor::appending_to(header))
+        } else {
+            ObjectBody::Raw(header)
+        };
+        ObjectWriter { sha: Sha256::new(), raw_len: 0, body }
+    }
+
+    /// Append `raw` bytes to the body (the infallible form of
+    /// [`Write::write_all`]).
+    pub fn push(&mut self, raw: &[u8]) {
+        self.sha.update(raw);
+        self.raw_len += raw.len() as u64;
+        match &mut self.body {
+            ObjectBody::Lz(c) => c.write(raw),
+            ObjectBody::Raw(bytes) => bytes.extend_from_slice(raw),
+        }
+    }
+
+    /// Seal the object: hash, final LZ sequence and header. A payload LZ
+    /// did not shrink is stored raw, recovered by decompressing the
+    /// writer's own stream.
+    #[must_use]
+    pub fn finish(self) -> ObjectImage {
+        let raw_len = self.raw_len;
+        let (compression, mut bytes) = match self.body {
+            ObjectBody::Raw(bytes) => (COMPRESS_NONE, bytes),
+            ObjectBody::Lz(c) => {
+                let packed = c.finish();
+                if ((packed.len() - OBJECT_HEADER_LEN) as u64) < raw_len {
+                    (COMPRESS_LZ, packed)
+                } else {
+                    let mut bytes = Vec::with_capacity(OBJECT_HEADER_LEN + raw_len as usize);
+                    bytes.resize(OBJECT_HEADER_LEN, 0);
+                    lz::decompress_into(&packed[OBJECT_HEADER_LEN..], &mut bytes, raw_len as usize)
+                        .expect("the writer's own LZ stream decodes");
+                    (COMPRESS_NONE, bytes)
+                }
+            }
+        };
+        bytes[..4].copy_from_slice(&OBJECT_MAGIC);
+        bytes[4] = OBJECT_VERSION;
+        bytes[5] = compression;
+        bytes[6..OBJECT_HEADER_LEN].copy_from_slice(&raw_len.to_le_bytes());
+        ObjectImage { cid: self.sha.finalize(), compression, raw_len, bytes }
+    }
+}
+
+impl Write for ObjectWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.push(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -776,11 +858,13 @@ impl TraceStore {
         }
     }
 
-    /// Publish a recorded trace under `key`. Fills the store-location
+    /// Publish a raw trace body under `key`. Fills the store-location
     /// fields of `side` (`cid`, `compression`, `stored_bytes`,
     /// `trace_bytes`), writes the object body first (skipping it when an
     /// identical trace is already stored — the dedup path), then the
-    /// manifest, each via atomic tmp + rename.
+    /// manifest, each via atomic tmp + rename. Recordings stream into an
+    /// [`ObjectWriter`] instead and publish its image with
+    /// [`TraceStore::put_prepared`].
     ///
     /// # Errors
     ///
@@ -788,15 +872,13 @@ impl TraceStore {
     pub fn put(&self, key: &str, side: &mut Sidecar, raw: &[u8]) -> io::Result<PutOutcome> {
         let image = ObjectImage::build(raw, self.compress);
         side.key = key.to_string();
-        side.cid = image.cid;
-        side.compression = image.compression;
-        side.trace_bytes = raw.len() as u64;
-        side.stored_bytes = image.bytes.len() as u64;
+        image.locate(side);
         self.put_prepared(side, &image.bytes)
     }
 
-    /// Publish with a pre-built object image (the server path: the image
-    /// arrived over the wire already verified against `side.cid`).
+    /// Publish with a pre-built object image whose location fields `side`
+    /// already carries (a streamed recording, or the server path: the
+    /// image arrived over the wire already verified against `side.cid`).
     ///
     /// # Errors
     ///
@@ -1187,6 +1269,63 @@ mod tests {
             ObjectImage::decode_verify(&img.bytes, &img.cid).expect("verifies"),
             noise
         );
+    }
+
+    /// The object image as the one-shot builder assembled it: hash, then
+    /// the LZ payload when it is smaller, else the raw one, behind the
+    /// header.
+    fn reference_image(raw: &[u8], compress: bool) -> (u8, Vec<u8>) {
+        let packed = lz::compress(raw);
+        let (compression, payload) = if compress && packed.len() < raw.len() {
+            (COMPRESS_LZ, packed)
+        } else {
+            (COMPRESS_NONE, raw.to_vec())
+        };
+        let mut bytes = OBJECT_MAGIC.to_vec();
+        bytes.push(OBJECT_VERSION);
+        bytes.push(compression);
+        bytes.extend_from_slice(&(raw.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        (compression, bytes)
+    }
+
+    #[test]
+    fn object_writer_matches_the_one_shot_image_at_any_split() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let noise: Vec<u8> = (0..70_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let compressible = b"frame 0123 | pc +4 | tok +1 | addr +8 ".repeat(4_000);
+        let cases: [(&str, &[u8], bool, u8); 6] = [
+            ("compressible", &compressible, true, COMPRESS_LZ),
+            ("noise", &noise, true, COMPRESS_NONE),
+            ("compression off", &compressible, false, COMPRESS_NONE),
+            ("noise, compression off", &noise, false, COMPRESS_NONE),
+            ("empty", b"", true, COMPRESS_NONE),
+            ("tiny", b"abc", true, COMPRESS_NONE),
+        ];
+        for (name, raw, compress, want_compression) in cases {
+            let (compression, want) = reference_image(raw, compress);
+            assert_eq!(compression, want_compression, "{name}");
+            for cuts in [raw.len().max(1), 1, 13, 1_500, 65_536] {
+                let mut w = ObjectWriter::new(compress);
+                for chunk in raw.chunks(cuts) {
+                    w.write_all(chunk).expect("infallible");
+                }
+                let img = w.finish();
+                assert_eq!(img.bytes, want, "{name}, writes of {cuts}");
+                assert_eq!(img.compression, compression, "{name}");
+                assert_eq!(img.raw_len, raw.len() as u64, "{name}");
+                assert_eq!(img.cid, sha256(raw), "{name}");
+            }
+            let built = ObjectImage::build(raw, compress);
+            assert_eq!((built.bytes, built.cid), (want, sha256(raw)), "{name}, build");
+        }
     }
 
     #[test]

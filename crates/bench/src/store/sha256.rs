@@ -27,10 +27,13 @@ const SHA_H0: [u32; 8] = [
 /// into the chaining state `h`.
 type Compress = fn(&mut [u32; 8], &[u8]);
 
-/// SHA-256 of `data` (the store's content-ID function).
+/// SHA-256 of `data` (the store's content-ID function): one
+/// [`Sha256::update`] of the whole input.
 #[must_use]
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    digest(data, backend().1)
+    let mut h = Sha256::new();
+    h.update(data);
+    h.finalize()
 }
 
 /// Name of the block function [`sha256`] uses on this host: `"sha-ni"`
@@ -49,24 +52,75 @@ fn backend() -> (&'static str, Compress) {
     ("scalar", compress_scalar)
 }
 
-/// Pad `data` and run every block through `compress`. The bulk is read
-/// in place; only the final one or two padded blocks are copied.
-fn digest(data: &[u8], compress: Compress) -> [u8; 32] {
-    let mut h = SHA_H0;
-    let bulk = data.len() - data.len() % 64;
-    compress(&mut h, &data[..bulk]);
-    let rem = &data[bulk..];
-    let mut tail = [0u8; 128];
-    tail[..rem.len()].copy_from_slice(rem);
-    tail[rem.len()] = 0x80;
-    let tail_len = if rem.len() >= 56 { 128 } else { 64 };
-    tail[tail_len - 8..tail_len].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-    compress(&mut h, &tail[..tail_len]);
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+/// Incremental SHA-256: [`Sha256::update`] any number of times, then
+/// [`Sha256::finalize`]. The digest equals [`sha256`] of the
+/// concatenated input however it was split. Whole blocks are hashed in
+/// place; only a partial block is buffered between updates.
+#[derive(Clone, Debug)]
+pub struct Sha256 {
+    h: [u32; 8],
+    /// The partial block not yet hashed (`buf_len` bytes).
+    buf: [u8; 64],
+    buf_len: usize,
+    /// Total bytes fed.
+    len: u64,
+    compress: Compress,
+}
+
+impl Default for Sha256 {
+    fn default() -> Sha256 {
+        Sha256::new()
     }
-    out
+}
+
+impl Sha256 {
+    /// A fresh hash on this host's block function.
+    #[must_use]
+    pub fn new() -> Sha256 {
+        Sha256::with_block_fn(backend().1)
+    }
+
+    fn with_block_fn(compress: Compress) -> Sha256 {
+        Sha256 { h: SHA_H0, buf: [0; 64], buf_len: 0, len: 0, compress }
+    }
+
+    /// Hash the next `data` bytes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.buf_len > 0 {
+            let n = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + n].copy_from_slice(&data[..n]);
+            self.buf_len += n;
+            data = &data[n..];
+            if self.buf_len < 64 {
+                return;
+            }
+            (self.compress)(&mut self.h, &self.buf);
+            self.buf_len = 0;
+        }
+        let bulk = data.len() - data.len() % 64;
+        (self.compress)(&mut self.h, &data[..bulk]);
+        let rem = &data[bulk..];
+        self.buf[..rem.len()].copy_from_slice(rem);
+        self.buf_len = rem.len();
+    }
+
+    /// Pad, hash the final one or two blocks and return the digest.
+    #[must_use]
+    pub fn finalize(mut self) -> [u8; 32] {
+        let rem = self.buf_len;
+        let mut tail = [0u8; 128];
+        tail[..rem].copy_from_slice(&self.buf[..rem]);
+        tail[rem] = 0x80;
+        let tail_len = if rem >= 56 { 128 } else { 64 };
+        tail[tail_len - 8..tail_len].copy_from_slice(&(self.len * 8).to_be_bytes());
+        (self.compress)(&mut self.h, &tail[..tail_len]);
+        let mut out = [0u8; 32];
+        for (i, word) in self.h.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
 }
 
 fn compress_scalar(h: &mut [u32; 8], blocks: &[u8]) {
@@ -211,8 +265,32 @@ mod tests {
         out
     }
 
+    /// One-update digest on a given block function.
+    fn digest(data: &[u8], compress: Compress) -> [u8; 32] {
+        let mut h = Sha256::with_block_fn(compress);
+        h.update(data);
+        h.finalize()
+    }
+
     fn scalar(data: &[u8]) -> [u8; 32] {
         digest(data, compress_scalar)
+    }
+
+    /// Digest of `data` fed in updates of the `cuts` lengths, cycled;
+    /// whatever an empty `cuts` leaves goes in one update.
+    fn split_digest(data: &[u8], cuts: &[usize], compress: Compress) -> [u8; 32] {
+        let mut h = Sha256::with_block_fn(compress);
+        let mut rest = data;
+        for &n in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let n = n.min(rest.len());
+            h.update(&rest[..n]);
+            rest = &rest[n..];
+        }
+        h.update(rest);
+        h.finalize()
     }
 
     /// Deterministic non-repeating test bytes.
@@ -240,6 +318,54 @@ mod tests {
         }
         for (input, want) in vectors {
             assert_eq!(cid_hex(&sha256(input)), want, "dispatched, len {}", input.len());
+        }
+    }
+
+    #[test]
+    fn incremental_matches_nist_vectors_at_any_update_sizes() {
+        let million_a = vec![0x61u8; 1_000_000];
+        let vectors: [(&[u8], &str); 3] = [
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (&million_a, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+        ];
+        for (name, compress) in backends() {
+            for (input, want) in vectors {
+                for cuts in [&[1usize][..], &[63], &[64], &[65], &[7, 1, 200, 4096]] {
+                    assert_eq!(
+                        cid_hex(&split_digest(input, cuts, compress)),
+                        want,
+                        "{name}, len {}, cuts {cuts:?}",
+                        input.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_matches_one_shot_at_every_split_to_1024() {
+        let buf = bytes(1024);
+        for (name, compress) in backends() {
+            for n in [0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 1000, 1024] {
+                let want = digest(&buf[..n], compress);
+                for k in 0..=n {
+                    let mut h = Sha256::with_block_fn(compress);
+                    h.update(&buf[..k]);
+                    h.update(&buf[k..n]);
+                    assert_eq!(h.finalize(), want, "{name}, len {n}, split at {k}");
+                }
+            }
+            for n in 0..=1024 {
+                assert_eq!(
+                    split_digest(&buf[..n], &[1], compress),
+                    digest(&buf[..n], compress),
+                    "{name}, len {n}, byte at a time"
+                );
+            }
         }
     }
 

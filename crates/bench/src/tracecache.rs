@@ -66,7 +66,7 @@ use crate::cli::Cli;
 use crate::proto::RemoteStore;
 use crate::runner::RunConfig;
 use crate::simcache::{sim_fingerprint, SimCacheMode};
-use crate::store::{fnv1a64, ObjectImage, Sidecar, TraceStore};
+use crate::store::{fnv1a64, ObjectImage, ObjectWriter, Sidecar, TraceStore};
 use checkelide_engine::Mechanism;
 use checkelide_uarch::{SimObject, SimResult, SIM_OBJECT_LEN};
 
@@ -470,43 +470,47 @@ impl TraceCache {
         Some(raw)
     }
 
-    /// Publish a recording. Fills `side`'s store-location fields, writes
-    /// through the active backend, and counts the store. Failures warn
-    /// and return; a cache problem is never a run failure.
-    pub(crate) fn publish(&self, entry: &CacheEntry, side: &mut Sidecar, raw: &[u8]) {
+    /// A writer that streams a recording into this cache's object format
+    /// (LZ-compressed unless compression is off); its finished image is
+    /// what [`TraceCache::publish`] takes.
+    pub(crate) fn object_writer(&self) -> ObjectWriter {
+        ObjectWriter::new(self.compress)
+    }
+
+    /// Publish a recording's finished object image. Fills `side`'s
+    /// store-location fields, writes through the active backend, and
+    /// counts the store. Failures warn and return; a cache problem is
+    /// never a run failure.
+    pub(crate) fn publish(&self, entry: &CacheEntry, side: &mut Sidecar, image: &ObjectImage) {
         side.key = entry.key.clone();
-        match &self.backend {
-            Backend::Off => {}
-            Backend::Local(store) => match store.put(&entry.key, side, raw) {
-                Ok(outcome) => self.note_store(
-                    outcome.deduped,
-                    raw.len() as u64,
-                    side.encode().len() as u64
-                        + if outcome.deduped { 0 } else { outcome.stored_bytes },
-                ),
+        image.locate(side);
+        let written = match &self.backend {
+            Backend::Off => return,
+            Backend::Local(store) => match store.put_prepared(side, &image.bytes) {
+                Ok(outcome) => Some((outcome.deduped, outcome.stored_bytes)),
                 Err(e) => {
                     eprintln!("warning: trace cache store for {} failed: {e}", entry.key);
+                    None
                 }
             },
             Backend::Remote(remote) => {
-                let image = ObjectImage::build(raw, self.compress);
-                side.cid = image.cid;
-                side.compression = image.compression;
-                side.trace_bytes = raw.len() as u64;
-                side.stored_bytes = image.bytes.len() as u64;
                 if remote.put(side, &image.bytes) {
-                    self.note_store(
-                        false,
-                        raw.len() as u64,
-                        side.encode().len() as u64 + image.bytes.len() as u64,
-                    );
+                    Some((false, image.bytes.len() as u64))
                 } else {
                     eprintln!(
                         "warning: trace store server rejected recording for {}",
                         entry.key
                     );
+                    None
                 }
             }
+        };
+        if let Some((deduped, stored_bytes)) = written {
+            self.note_store(
+                deduped,
+                image.raw_len,
+                side.encode().len() as u64 + if deduped { 0 } else { stored_bytes },
+            );
         }
     }
 

@@ -6,6 +6,7 @@
 
 use checkelide_bench::proto::{serve, RemoteStore};
 use checkelide_bench::runner::{try_run_benchmark_cached, CacheDisposition, RunConfig};
+use checkelide_bench::store::{ObjectImage, ObjectWriter};
 use checkelide_bench::{find, sim_fingerprint, Benchmark, TraceCache, TraceStore};
 use checkelide_uarch::{SimObject, SIM_OBJECT_LEN};
 use std::io::{Read, Write};
@@ -498,3 +499,45 @@ fn client_rejects_garbage_simget_payload() {
     drop(remote);
     fake.join().expect("fake server exits");
 }
+
+/// Every quick-scale recording of one kernel — each engine
+/// configuration `reproduce --quick` records — is streamed frame by
+/// frame into its object while the engine runs. The stored image must
+/// be exactly what the one-shot builder makes of the raw body, and so
+/// must the body fed to an [`ObjectWriter`] in other write sizes.
+#[test]
+fn streamed_recordings_match_one_shot_objects_on_real_traces() {
+    let dir = fresh_dir("real-objects");
+    let cache = TraceCache::at(&dir);
+    let store = cache.local_store().expect("local backend");
+    let kernel = find(REAL_TRACE_KERNEL).expect("suite has the kernel");
+    let quick = |cfg: RunConfig| cfg.with_scale((kernel.scale / 6).max(2)).with_iterations(4);
+    let configs = [
+        RunConfig::characterize(),
+        RunConfig::baseline_timed().with_timing(false),
+        RunConfig::mechanism_timed().with_timing(false),
+        RunConfig::characterize().with_bbv(true),
+        RunConfig::mechanism_timed().with_timing(false).with_bbv(true),
+    ];
+    for cfg in configs {
+        let (_, disp, _) = try_run_benchmark_cached(kernel, quick(cfg), &cache).expect("runs");
+        assert_eq!(disp, CacheDisposition::Miss);
+    }
+    let manifests = store.manifests();
+    assert_eq!(manifests.len(), configs.len());
+    for (_, side, _, _) in manifests {
+        let image = std::fs::read(store.object_path(&side.cid)).expect("object stored");
+        let raw = ObjectImage::decode_verify(&image, &side.cid).expect("object verifies");
+        let want = ObjectImage::build(&raw, store.compress());
+        assert_eq!(image, want.bytes, "{}", side.key);
+        for cuts in [61, 4093] {
+            let mut w = ObjectWriter::new(store.compress());
+            raw.chunks(cuts).for_each(|c| w.push(c));
+            assert_eq!(w.finish().bytes, want.bytes, "{}, writes of {cuts}", side.key);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The kernel whose real traces the object test streams.
+const REAL_TRACE_KERNEL: &str = "access-fannkuch";

@@ -511,9 +511,10 @@ pub struct TraceWriteStats {
 pub struct TraceWriter<W: Write> {
     out: Option<W>,
     err: Option<io::Error>,
-    /// Staged µops, flushed as one frame per [`BATCH_CAPACITY`].
-    stage: Vec<Uop>,
-    /// Scratch payload buffer, reused across frames.
+    /// µops encoded into `payload` since the last frame; a frame is
+    /// written per [`BATCH_CAPACITY`] and at every [`TraceSink::finish`].
+    staged: usize,
+    /// The open frame's payload, reused across frames.
     payload: Vec<u8>,
     /// Scratch frame-header buffer.
     head: Vec<u8>,
@@ -531,7 +532,7 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             out: Some(out),
             err: None,
-            stage: Vec::with_capacity(BATCH_CAPACITY),
+            staged: 0,
             payload: Vec::with_capacity(4096),
             head: Vec::with_capacity(16),
             shapes: ShapeTable::new(),
@@ -541,65 +542,59 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Encode and write one frame from the staged µops.
+    /// Encode one µop onto the open frame's payload.
+    #[inline]
+    fn encode(&mut self, u: &Uop) {
+        let shape = Shape::pack(u);
+        match self.shapes.index(shape.0) {
+            Some(ix) => self.payload.push(ix),
+            None => {
+                self.payload.push(SHAPE_ESCAPE);
+                self.payload.extend_from_slice(&shape.0.to_le_bytes());
+            }
+        }
+        put_svarint(&mut self.payload, u.pc.wrapping_sub(self.delta.prev_pc) as i64);
+        self.delta.prev_pc = u.pc;
+        for t in [u.srcs[0], u.srcs[1], u.dst] {
+            if t.is_some() {
+                put_svarint(
+                    &mut self.payload,
+                    i64::from(t.0.wrapping_sub(self.delta.prev_tok) as i32),
+                );
+                self.delta.prev_tok = t.0;
+            }
+        }
+        if let Some(m) = u.mem {
+            put_svarint(&mut self.payload, m.addr.wrapping_sub(self.delta.prev_addr) as i64);
+            self.delta.prev_addr = m.addr;
+        }
+        self.staged += 1;
+        if self.staged == BATCH_CAPACITY {
+            self.flush_frame();
+        }
+    }
+
+    /// Write the open frame, if it holds any µops.
     fn flush_frame(&mut self) {
-        if self.stage.is_empty() || self.err.is_some() {
-            self.stage.clear();
+        if self.staged == 0 || self.err.is_some() {
             return;
         }
-        self.payload.clear();
-        for u in &self.stage {
-            let shape = Shape::pack(u);
-            match self.shapes.index(shape.0) {
-                Some(ix) => self.payload.push(ix),
-                None => {
-                    self.payload.push(SHAPE_ESCAPE);
-                    self.payload.extend_from_slice(&shape.0.to_le_bytes());
-                }
-            }
-            put_svarint(&mut self.payload, u.pc.wrapping_sub(self.delta.prev_pc) as i64);
-            self.delta.prev_pc = u.pc;
-            if u.srcs[0].is_some() {
-                put_svarint(
-                    &mut self.payload,
-                    i64::from(u.srcs[0].0.wrapping_sub(self.delta.prev_tok) as i32),
-                );
-                self.delta.prev_tok = u.srcs[0].0;
-            }
-            if u.srcs[1].is_some() {
-                put_svarint(
-                    &mut self.payload,
-                    i64::from(u.srcs[1].0.wrapping_sub(self.delta.prev_tok) as i32),
-                );
-                self.delta.prev_tok = u.srcs[1].0;
-            }
-            if u.dst.is_some() {
-                put_svarint(
-                    &mut self.payload,
-                    i64::from(u.dst.0.wrapping_sub(self.delta.prev_tok) as i32),
-                );
-                self.delta.prev_tok = u.dst.0;
-            }
-            if let Some(m) = u.mem {
-                put_svarint(&mut self.payload, m.addr.wrapping_sub(self.delta.prev_addr) as i64);
-                self.delta.prev_addr = m.addr;
-            }
-        }
         self.head.clear();
-        put_varint(&mut self.head, self.stage.len() as u64);
+        put_varint(&mut self.head, self.staged as u64);
         put_varint(&mut self.head, self.payload.len() as u64);
         let out = self.out.as_mut().expect("writer not finished");
         let r = out.write_all(&self.head).and_then(|()| out.write_all(&self.payload));
         if let Err(e) = r {
             self.err = Some(e);
         } else {
-            self.uops += self.stage.len() as u64;
+            self.uops += self.staged as u64;
             self.bytes += (self.head.len() + self.payload.len()) as u64;
         }
-        self.stage.clear();
+        self.staged = 0;
+        self.payload.clear();
     }
 
-    /// Finish the recording: flush staged µops, write the trailer, and
+    /// Finish the recording: flush the open frame, write the trailer, and
     /// return the underlying writer plus stats. Surfaces any I/O error
     /// latched during recording.
     pub fn finish_file(mut self) -> Result<(W, TraceWriteStats), TraceError> {
@@ -622,28 +617,22 @@ impl<W: Write> TraceWriter<W> {
 impl<W: Write> TraceSink for TraceWriter<W> {
     #[inline]
     fn emit(&mut self, uop: &Uop) {
-        self.stage.push(*uop);
-        if self.stage.len() >= BATCH_CAPACITY {
-            self.flush_frame();
+        if self.err.is_none() {
+            self.encode(uop);
         }
     }
 
     fn emit_batch(&mut self, uops: &[Uop]) {
-        let mut rest = uops;
-        while !rest.is_empty() {
-            let room = BATCH_CAPACITY - self.stage.len();
-            let n = rest.len().min(room);
-            self.stage.extend_from_slice(&rest[..n]);
-            rest = &rest[n..];
-            if self.stage.len() >= BATCH_CAPACITY {
-                self.flush_frame();
+        if self.err.is_none() {
+            for u in uops {
+                self.encode(u);
             }
         }
     }
 
     fn finish(&mut self) {
-        // Frames must not be left half-staged between iterations; flush so
-        // the file is frame-complete at every sink boundary. The trailer is
+        // Frames must not be left open between iterations; flush so the
+        // file is frame-complete at every sink boundary. The trailer is
         // only written by `finish_file`.
         self.flush_frame();
     }
@@ -1077,6 +1066,26 @@ mod tests {
         assert_eq!(*last, trace.len() % BATCH_CAPACITY);
     }
 
+    /// Record `trace` with a [`TraceSink::finish`] after each prefix
+    /// length in `finishes`, feeding it per µop or in `batch`-sized slices.
+    fn encode_with_finishes(trace: &[Uop], finishes: &[usize], batch: Option<usize>) -> Vec<u8> {
+        let mut w = TraceWriter::new(Vec::new()).expect("vec");
+        let mut at = 0;
+        for end in finishes.iter().copied().chain([trace.len()]) {
+            let seg = &trace[at..end];
+            match batch {
+                None => seg.iter().for_each(|u| w.emit(u)),
+                Some(n) => seg.chunks(n).for_each(|c| w.emit_batch(c)),
+            }
+            TraceSink::finish(&mut w);
+            at = end;
+        }
+        let (bytes, stats) = w.finish_file().expect("vec");
+        assert_eq!(stats.uops, trace.len() as u64);
+        assert_eq!(stats.bytes, bytes.len() as u64);
+        bytes
+    }
+
     #[test]
     fn writer_emit_matches_emit_batch() {
         let trace = sample_trace();
@@ -1089,6 +1098,15 @@ mod tests {
         assert_eq!(via_batch, via_emit);
         assert_eq!(stats.uops, trace.len() as u64);
         assert_eq!(stats.bytes, via_emit.len() as u64);
+        // Mid-frame `finish` calls (including a repeated one and one on a
+        // frame boundary) cut frames at the same places whichever way the
+        // µops arrive.
+        let finishes = [13, 13, 256, 300, 777];
+        let want = reference_encode(&trace, &finishes);
+        for batch in [None, Some(1), Some(7), Some(BATCH_CAPACITY), Some(1000)] {
+            assert_eq!(encode_with_finishes(&trace, &finishes, batch), want, "batch {batch:?}");
+        }
+        assert_eq!(decode_trace(&want).expect("decodes"), trace);
     }
 
     #[test]
@@ -1161,12 +1179,20 @@ mod tests {
 
     /// The writer's format encoded with a `HashMap` dictionary: the
     /// reference the open-addressing shape table must match byte for byte.
-    fn reference_encode(uops: &[Uop]) -> Vec<u8> {
+    /// A frame ends every [`BATCH_CAPACITY`] µops and at each prefix
+    /// length in `finishes` (a sink `finish`).
+    fn reference_encode(uops: &[Uop], finishes: &[usize]) -> Vec<u8> {
         let mut out = TRACE_MAGIC.to_vec();
         out.push(TRACE_VERSION);
         let mut shapes = std::collections::HashMap::<u32, u8>::new();
         let mut d = DeltaState::new();
-        for frame in uops.chunks(BATCH_CAPACITY) {
+        let mut at = 0;
+        let segments = finishes.iter().copied().chain([uops.len()]).map(|end| {
+            let seg = &uops[at..end];
+            at = end;
+            seg
+        });
+        for frame in segments.flat_map(|seg| seg.chunks(BATCH_CAPACITY)) {
             let mut p = Vec::new();
             for u in frame {
                 let shape = Shape::pack(u).0;
@@ -1230,9 +1256,14 @@ mod tests {
             trace.iter().map(|u| Shape::pack(u).0).collect();
         assert_eq!(shapes.len(), 300);
         let bytes = encode_trace(&trace);
-        assert_eq!(bytes, reference_encode(&trace));
+        assert_eq!(bytes, reference_encode(&trace, &[]));
         assert_eq!(decode_trace(&bytes).expect("decodes"), trace);
-        assert_eq!(encode_trace(&sample_trace()), reference_encode(&sample_trace()));
+        assert_eq!(encode_trace(&sample_trace()), reference_encode(&sample_trace(), &[]));
+        // Mid-frame finishes, one inside the overflow region of each round.
+        let finishes = [1, 280, 299, 300, 555, 899];
+        let bytes = encode_with_finishes(&trace, &finishes, Some(64));
+        assert_eq!(bytes, reference_encode(&trace, &finishes));
+        assert_eq!(decode_trace(&bytes).expect("decodes"), trace);
     }
 
     #[test]

@@ -102,6 +102,12 @@ fn read4(src: &[u8], pos: usize) -> u32 {
     u32::from_le_bytes([src[pos], src[pos + 1], src[pos + 2], src[pos + 3]])
 }
 
+#[inline]
+fn read8(src: &[u8], pos: usize) -> u64 {
+    // Caller guarantees pos + 8 <= src.len().
+    u64::from_le_bytes(src[pos..pos + 8].try_into().expect("8-byte slice"))
+}
+
 fn put_len(out: &mut Vec<u8>, mut extra: usize) {
     // Emit the 255-continuation extension bytes for a nibble that held 15.
     while extra >= 255 {
@@ -132,43 +138,175 @@ fn put_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
 /// Compress `src`. The output always round-trips through [`decompress`]
 /// with `expected = src.len()`; it is not guaranteed to be smaller than
 /// the input (incompressible data gains a few header bytes — callers
-/// store such payloads raw).
+/// store such payloads raw). One [`Compressor::write`] of the whole
+/// input: the same bytes any split of it would produce.
 #[must_use]
 pub fn compress(src: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(src.len() / 2 + 16);
-    if src.len() < MIN_MATCH + 1 {
-        put_sequence(&mut out, src, None);
-        return out;
+    let mut c = Compressor::appending_to(Vec::with_capacity(src.len() / 2 + 16));
+    c.write(src);
+    c.finish()
+}
+
+/// Streaming form of [`compress`]: feed the input in any number of
+/// [`Compressor::write`] calls, then [`Compressor::finish`]. The output
+/// is byte-identical to `compress` of the concatenated input, however
+/// it was split.
+///
+/// The greedy matcher only ever looks [`MAX_OFFSET`] bytes back, so the
+/// compressor retains just the input from `min(anchor, pos - MAX_OFFSET)`
+/// on (`anchor` starts the literal run not yet emitted): memory is the
+/// hash table, about one window and the compressed output, not the
+/// input. Positions are absolute, and one is matched only once
+/// `pos + MIN_MATCH` bytes are available — the bound the one-shot loop
+/// applies to the whole input. A match whose extension reaches the end
+/// of the input so far is suspended until more arrives or `finish`.
+#[derive(Debug, Clone)]
+pub struct Compressor {
+    /// Last absolute position + 1 of each 4-byte hash; 0 = empty.
+    table: Vec<u32>,
+    /// Retained input, starting at absolute offset `base`.
+    window: Vec<u8>,
+    base: usize,
+    /// Absolute start of the literal run not yet emitted.
+    anchor: usize,
+    /// Absolute next position to match.
+    pos: usize,
+    /// A match at `pos` whose extension reached the end of the input:
+    /// `(absolute candidate, length so far)`.
+    pending: Option<(usize, usize)>,
+    out: Vec<u8>,
+}
+
+impl Default for Compressor {
+    fn default() -> Compressor {
+        Compressor::new()
     }
-    let mut table = vec![0u32; 1 << HASH_BITS]; // position + 1; 0 = empty
-    let mut anchor = 0usize;
-    let mut pos = 0usize;
-    // Leave the last MIN_MATCH bytes for the trailing literal run so the
-    // forward-extension loop below never reads past the end.
-    let limit = src.len() - MIN_MATCH;
-    while pos < limit {
-        let word = read4(src, pos);
-        let slot = &mut table[hash4(word)];
-        let cand = *slot as usize;
-        *slot = (pos + 1) as u32;
-        if cand > 0 {
-            let cand = cand - 1;
-            if pos - cand <= MAX_OFFSET && read4(src, cand) == word {
-                // Extend the match forward.
-                let mut len = MIN_MATCH;
-                while pos + len < src.len() && src[cand + len] == src[pos + len] {
-                    len += 1;
-                }
-                put_sequence(&mut out, &src[anchor..pos], Some((pos - cand, len)));
-                pos += len;
-                anchor = pos;
-                continue;
+}
+
+impl Compressor {
+    /// A compressor with an empty output buffer.
+    #[must_use]
+    pub fn new() -> Compressor {
+        Compressor::appending_to(Vec::new())
+    }
+
+    /// A compressor that appends its stream to `out`, after the bytes it
+    /// already holds (a caller's header, say).
+    #[must_use]
+    pub fn appending_to(out: Vec<u8>) -> Compressor {
+        Compressor {
+            table: vec![0; 1 << HASH_BITS],
+            window: Vec::new(),
+            base: 0,
+            anchor: 0,
+            pos: 0,
+            pending: None,
+            out,
+        }
+    }
+
+    /// Compress the next `data` bytes of the input.
+    pub fn write(&mut self, data: &[u8]) {
+        if self.window.is_empty() {
+            // Nothing retained: match `data` in place and keep only the
+            // tail later positions can still reach, so a one-shot
+            // `compress` never copies its input.
+            self.advance(data, false);
+            let keep = self.keep() - self.base;
+            self.window.extend_from_slice(&data[keep..]);
+            self.base += keep;
+        } else {
+            self.window.extend_from_slice(data);
+            let window = std::mem::take(&mut self.window);
+            self.advance(&window, false);
+            self.window = window;
+            // Drop the dead prefix once it is at least a window long and
+            // half the buffer, so each retained byte moves O(1) times.
+            let dead = self.keep() - self.base;
+            if dead >= MAX_OFFSET.max(self.window.len() / 2) {
+                self.window.drain(..dead);
+                self.base += dead;
             }
         }
-        pos += 1;
     }
-    put_sequence(&mut out, &src[anchor..], None);
-    out
+
+    /// Match the rest of the input, emit the final literal run and
+    /// return the output buffer.
+    #[must_use]
+    pub fn finish(mut self) -> Vec<u8> {
+        let window = std::mem::take(&mut self.window);
+        self.advance(&window, true);
+        put_sequence(&mut self.out, &window[self.anchor - self.base..], None);
+        self.out
+    }
+
+    /// First absolute input offset any later step can still read.
+    fn keep(&self) -> usize {
+        self.anchor.min(self.pos.saturating_sub(MAX_OFFSET))
+    }
+
+    /// Run the greedy matcher over `src`, the input from absolute offset
+    /// `self.base` to its current end. With `fin` the end is final.
+    fn advance(&mut self, src: &[u8], fin: bool) {
+        let base = self.base;
+        let end = src.len();
+        let mut pos = self.pos - base;
+        let mut anchor = self.anchor - base;
+        let mut found = self.pending.take().map(|(cand, len)| (cand - base, len));
+        loop {
+            if let Some((cand, len)) = found.take() {
+                let len = extend_match(src, cand, pos, len);
+                if pos + len == end && !fin {
+                    self.pending = Some((cand + base, len));
+                    break;
+                }
+                put_sequence(&mut self.out, &src[anchor..pos], Some((pos - cand, len)));
+                pos += len;
+                anchor = pos;
+            }
+            // Leave the last MIN_MATCH bytes for the trailing literal run
+            // so no 4-byte read passes the end.
+            while pos + MIN_MATCH < end {
+                let word = read4(src, pos);
+                let slot = &mut self.table[hash4(word)];
+                let cand = *slot as usize;
+                *slot = (base + pos + 1) as u32;
+                // An in-window candidate is never before `base`: `keep`
+                // retains MAX_OFFSET bytes behind every matched position.
+                if cand > 0 && base + pos - (cand - 1) <= MAX_OFFSET {
+                    let cand = cand - 1 - base;
+                    if read4(src, cand) == word {
+                        found = Some((cand, MIN_MATCH));
+                        break;
+                    }
+                }
+                pos += 1;
+            }
+            if found.is_none() {
+                break;
+            }
+        }
+        self.pos = base + pos;
+        self.anchor = base + anchor;
+    }
+}
+
+/// Extend a match of `len` bytes at `pos` against `cand < pos` up to the
+/// first mismatch or the end of `src`: 8 bytes per step (the lowest set
+/// byte of the XOR is the first difference), then byte by byte.
+#[inline]
+fn extend_match(src: &[u8], cand: usize, pos: usize, mut len: usize) -> usize {
+    while pos + len + 8 <= src.len() {
+        let x = read8(src, cand + len) ^ read8(src, pos + len);
+        if x != 0 {
+            return len + (x.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while pos + len < src.len() && src[cand + len] == src[pos + len] {
+        len += 1;
+    }
+    len
 }
 
 struct LzCur<'a> {
@@ -210,6 +348,19 @@ impl LzCur<'_> {
 /// never panics and never allocates more than `expected` output bytes.
 pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
     let mut out: Vec<u8> = Vec::with_capacity(expected);
+    decompress_into(src, &mut out, expected)?;
+    Ok(out)
+}
+
+/// [`decompress`] appending to `out`: the `expected` decoded bytes follow
+/// whatever `out` already holds, which back-references cannot reach.
+///
+/// # Errors
+///
+/// As [`decompress`]; on error `out` holds a partial decode.
+pub fn decompress_into(src: &[u8], out: &mut Vec<u8>, expected: usize) -> Result<(), LzError> {
+    let start = out.len();
+    let end_len = start + expected;
     let mut c = LzCur { src, pos: 0 };
     loop {
         let token = c.byte()?;
@@ -217,7 +368,7 @@ pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
         if lit == 15 {
             lit = c.len_ext(15, expected)?;
         }
-        if out.len() + lit > expected {
+        if out.len() + lit > end_len {
             return Err(LzError::TooLong { offset: c.pos });
         }
         let end = c.pos.checked_add(lit).ok_or(LzError::Truncated { offset: c.pos })?;
@@ -226,24 +377,24 @@ pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
         c.pos = end;
         if c.pos == c.src.len() {
             // Final literals-only sequence.
-            if out.len() != expected {
-                return Err(LzError::ShortOutput { produced: out.len(), expected });
+            if out.len() != end_len {
+                return Err(LzError::ShortOutput { produced: out.len() - start, expected });
             }
-            return Ok(out);
+            return Ok(());
         }
         let off_at = c.pos;
         let off = usize::from(u16::from_le_bytes([c.byte()?, c.byte()?]));
-        if off == 0 || off > out.len() {
+        if off == 0 || off > out.len() - start {
             return Err(LzError::BadOffset { offset: off_at });
         }
         let mut mlen = (token & 0x0f) as usize + MIN_MATCH;
         if mlen == 15 + MIN_MATCH {
             mlen = c.len_ext(mlen, expected)?;
         }
-        if out.len() + mlen > expected {
+        if out.len() + mlen > end_len {
             return Err(LzError::TooLong { offset: c.pos });
         }
-        copy_match(&mut out, off, mlen);
+        copy_match(out, off, mlen);
     }
 }
 
@@ -422,6 +573,155 @@ mod tests {
                 runs.iter().flat_map(|&(b, n)| std::iter::repeat_n(b, n)).collect();
             round_trip(&data);
         }
+    }
+
+    /// The one-shot greedy matcher the streaming [`Compressor`] replaced:
+    /// the oracle every split of the input must reproduce byte for byte.
+    fn compress_reference(src: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(src.len() / 2 + 16);
+        if src.len() < MIN_MATCH + 1 {
+            put_sequence(&mut out, src, None);
+            return out;
+        }
+        let mut table = vec![0u32; 1 << HASH_BITS];
+        let mut anchor = 0usize;
+        let mut pos = 0usize;
+        let limit = src.len() - MIN_MATCH;
+        while pos < limit {
+            let word = read4(src, pos);
+            let slot = &mut table[hash4(word)];
+            let cand = *slot as usize;
+            *slot = (pos + 1) as u32;
+            if cand > 0 {
+                let cand = cand - 1;
+                if pos - cand <= MAX_OFFSET && read4(src, cand) == word {
+                    let mut len = MIN_MATCH;
+                    while pos + len < src.len() && src[cand + len] == src[pos + len] {
+                        len += 1;
+                    }
+                    put_sequence(&mut out, &src[anchor..pos], Some((pos - cand, len)));
+                    pos += len;
+                    anchor = pos;
+                    continue;
+                }
+            }
+            pos += 1;
+        }
+        put_sequence(&mut out, &src[anchor..], None);
+        out
+    }
+
+    /// Compress `data` in writes of the `cuts` lengths, cycled; whatever
+    /// an empty `cuts` leaves goes in one write.
+    fn compress_split(data: &[u8], cuts: &[usize]) -> Vec<u8> {
+        let mut c = Compressor::new();
+        let mut rest = data;
+        for &n in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let n = n.min(rest.len());
+            c.write(&rest[..n]);
+            rest = &rest[n..];
+        }
+        c.write(rest);
+        c.finish()
+    }
+
+    /// Trace-like bytes: a loop body of `body` records replayed with a
+    /// drifting field, so most of the input is long matches.
+    fn trace_like(records: usize, body: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut out = Vec::with_capacity(records * 6);
+        for i in 0..records {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let r = (i % body) as u64;
+            out.push((r % 7) as u8);
+            out.extend_from_slice(&(0x4000 + r * 8).to_le_bytes()[..3]);
+            out.push(if x & 15 == 0 { (x >> 8) as u8 } else { (i / body % 3) as u8 });
+        }
+        out
+    }
+
+    #[test]
+    fn one_shot_matches_the_reference_matcher() {
+        let mut inputs: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"a".to_vec(),
+            b"abcd".to_vec(),
+            b"abcde".to_vec(),
+            b"abcdabcd".to_vec(),
+            vec![0u8; 4096],
+            (0..=255u8).collect(),
+            b"the quick brown fox jumps over the lazy dog. ".repeat(200),
+            trace_like(40_000, 97, 7),
+        ];
+        let block: Vec<u8> = (0..97u8).cycle().take(8_192).collect();
+        let mut far = block.clone();
+        far.extend_from_slice(&vec![0u8; MAX_OFFSET + 1]);
+        far.extend_from_slice(&block);
+        inputs.push(far);
+        for data in &inputs {
+            assert_eq!(compress(data), compress_reference(data), "len {}", data.len());
+        }
+    }
+
+    #[test]
+    fn streaming_matches_the_reference_across_window_trims() {
+        // 300 KB: several MAX_OFFSET windows, so the retained buffer is
+        // trimmed many times while matches and literal runs span writes.
+        let mut data = trace_like(50_000, 331, 11);
+        data.extend_from_slice(&vec![9u8; 70_000]);
+        let noise: Vec<u8> = trace_like(1_000, 1, 3).iter().map(|b| b.wrapping_mul(151)).collect();
+        data.extend_from_slice(&noise);
+        data.extend_from_slice(&trace_like(4_000, 1_000, 5));
+        let want = compress_reference(&data);
+        for cuts in [&[1usize][..], &[7, 1, 4093], &[MAX_OFFSET + 1], &[1 << 20], &[3, 65_536]] {
+            assert_eq!(compress_split(&data, cuts), want, "cuts {cuts:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streaming_matches_the_reference_at_random_splits(
+            kind in 0u8..3,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+            runs in proptest::collection::vec((0u8..3, 1usize..400), 0..60),
+            records in 0usize..6000,
+            body in 1usize..300,
+            cuts in proptest::collection::vec(1usize..2000, 0..8),
+            small in proptest::collection::vec(1usize..5, 1..4),
+        ) {
+            let data: Vec<u8> = match kind {
+                0 => noise,
+                1 => runs.iter().flat_map(|&(b, n)| std::iter::repeat_n(b, n)).collect(),
+                _ => trace_like(records, body, records as u64),
+            };
+            let want = compress_reference(&data);
+            assert_eq!(compress_split(&data, &cuts), want, "cuts {cuts:?}");
+            assert_eq!(compress_split(&data, &small), want, "cuts {small:?}");
+        }
+    }
+
+    #[test]
+    fn decompress_into_keeps_the_prefix_out_of_reach() {
+        let data = b"abcabcabcabc tail".repeat(30);
+        let packed = compress(&data);
+        let mut out = b"HEAD".to_vec();
+        decompress_into(&packed, &mut out, data.len()).expect("decodes");
+        assert_eq!(&out[..4], b"HEAD");
+        assert_eq!(&out[4..], &data[..]);
+        // A first back-reference one byte long would read the prefix.
+        let mut stream = Vec::new();
+        put_sequence(&mut stream, b"", Some((1, MIN_MATCH)));
+        put_sequence(&mut stream, b"", None);
+        let mut out = b"HEAD".to_vec();
+        assert_eq!(
+            decompress_into(&stream, &mut out, MIN_MATCH),
+            Err(LzError::BadOffset { offset: 1 })
+        );
     }
 
     #[test]
