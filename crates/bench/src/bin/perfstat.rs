@@ -23,15 +23,8 @@
 //! * **mechanisms** — the same cell under each head-to-head configuration
 //!   (baseline / opt-noelide / cc-full / bbv / cc+bbv): check µops
 //!   retired, checks elided vs `opt-noelide`, total µops, and BBV
-//!   version-table activity.
-//! * **engine** — execution-tier head-to-head: steady-state engine-side
-//!   throughput (NullSink, Mµops/s) of the plan-walking tier vs the
-//!   compiled-region tier on a few kernel workloads, the region-compile
-//!   cost (µs per region), and the code-cache telemetry
-//!   (`regions_compiled`, `tier_up_events`, `code_cache_bytes`,
-//!   `evictions`, `deopt_bridges`). Both tiers must retire identical
-//!   µop counts per call — asserted — so the ratio is pure dispatch
-//!   overhead.
+//!   version-table activity, plus each configuration's steady-state
+//!   engine throughput (`engine_mops`, NullSink).
 //! * **grid** — wall-clock of the single-job Figure 1 grid, the number
 //!   EXPERIMENTS.md tracks across harness changes, plus cache-cold and
 //!   cache-warm reruns of the same grid against a fresh trace-cache
@@ -45,11 +38,7 @@
 //! previously recorded `BENCH_perf.json` (the committed copy lives at
 //! `golden/perf_baseline.json`), and the run fails when the measured
 //! CoreSim batched-replay throughput drops below `--floor-mult` (default
-//! 0.9, noise margin for shared runners) times the recorded number. When
-//! the baseline carries the engine section's `region_mops`, the first
-//! kernel's compiled-region throughput is gated too, at a coarser 0.5x
-//! margin (the quick-scale engine probe is noisier; the gate exists to
-//! catch a dead region tier, which runs at ~0.3x of the baseline).
+//! 0.9, noise margin for shared runners) times the recorded number.
 //! When the baseline carries the simcache section's `sim_hit_ratio`,
 //! the warm-path hit ratio is gated too (exactly — it is
 //! deterministic): a drop means the warm path silently re-simulates.
@@ -68,7 +57,7 @@ use checkelide_bench::proto::{serve, RemoteStore};
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
 use checkelide_bench::store::{sha256, sha256_backend, ObjectWriter};
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
-use checkelide_engine::{EngineConfig, Mechanism, Vm, VmStats};
+use checkelide_engine::{EngineConfig, Mechanism, Vm};
 use checkelide_isa::codec::{encode_trace, TraceReader, TraceWriter};
 use checkelide_isa::trace::VecSink;
 use checkelide_isa::uop::Uop;
@@ -146,47 +135,17 @@ fn mops(total: usize, reps: u32, mut run: impl FnMut()) -> f64 {
     total as f64 / best / 1e6
 }
 
-/// One engine tier's steady-state throughput on one benchmark.
-struct TierRun {
-    /// Engine-side Mµops/s: retired µops over wall-clock of the timed
-    /// steady-state calls (NullSink, so the consumer is free).
-    mops: f64,
-    /// Retired µops of one steady-state call — the throughput
-    /// denominator and the work-equality assertion between tiers.
-    uops_per_call: u64,
-    /// VM counters after the run (region/code-cache telemetry).
-    stats: VmStats,
-}
-
-/// The engine configuration of a region-tier probe: `regions: false`
-/// pins the plan-walking tier; `regions: true` tiers up to compiled
-/// regions after one optimized activation.
-fn tier_config(regions: bool) -> EngineConfig {
-    EngineConfig {
-        mechanism: Mechanism::ProfileOnly,
-        opt_enabled: true,
-        regions,
-        region_threshold: 1,
-        ..EngineConfig::default()
-    }
-}
-
-/// Run `bench` to steady state under `engine` and time repeated calls.
-fn engine_tier_run(
-    bench: &str,
-    scale: i32,
-    calls: u32,
-    reps: u32,
-    engine: EngineConfig,
-) -> TierRun {
+/// Returns the engine-side Mµops/s: retired µops over the wall-clock of
+/// the timed steady-state calls (NullSink, so the consumer is free).
+fn engine_mops(bench: &str, scale: i32, calls: u32, reps: u32, engine: EngineConfig) -> f64 {
     let b = find(bench).unwrap_or_else(|| panic!("unknown benchmark `{bench}`"));
     let mut vm = Vm::new(engine);
     install_optimizer(&mut vm);
     let mut null = NullSink::new();
     vm.run_program(b.source, &mut null).expect("setup");
     let args = [Value::smi(scale)];
-    // Warm past the opt threshold and (when enabled) the region
-    // threshold, so the timed window is pure steady state.
+    // Warm past the opt threshold, so the timed window is pure steady
+    // state.
     for _ in 0..4 {
         vm.rt.reset_prng();
         vm.call_global("bench", &args, &mut null).expect("warmup");
@@ -205,50 +164,7 @@ fn engine_tier_run(
         }
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    TierRun { mops: total as f64 / best / 1e6, uops_per_call, stats: vm.stats }
-}
-
-/// Region-compile cost for `bench`'s hot function: µs per compiled
-/// region, plus the set's shape (region count, accounted bytes).
-fn region_compile_probe(bench: &str, scale: i32, reps: u32) -> (f64, u64, u64) {
-    let b = find(bench).unwrap_or_else(|| panic!("unknown benchmark `{bench}`"));
-    let mut vm = Vm::new(EngineConfig {
-        mechanism: Mechanism::ProfileOnly,
-        opt_enabled: true,
-        ..EngineConfig::default()
-    });
-    install_optimizer(&mut vm);
-    let mut null = NullSink::new();
-    vm.run_program(b.source, &mut null).expect("setup");
-    let args = [Value::smi(scale)];
-    for _ in 0..4 {
-        vm.rt.reset_prng();
-        vm.call_global("bench", &args, &mut null).expect("warmup");
-    }
-    let fi = vm
-        .funcs
-        .iter()
-        .position(|f| f.decl.name == "bench")
-        .expect("benchmark entry point") as u32;
-    let bc = vm.ensure_bytecode(fi);
-    let analysis = checkelide_opt::analyze(&vm, fi, &bc);
-    let set = checkelide_opt::region::compile(fi, &bc, &analysis.plans);
-    let (n_regions, bytes) = (set.regions.len() as u64, set.bytes);
-    const COMPILES: u32 = 200;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..COMPILES {
-            std::hint::black_box(checkelide_opt::region::compile(
-                fi,
-                std::hint::black_box(&bc),
-                std::hint::black_box(&analysis.plans),
-            ));
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let us_per_region = best * 1e6 / f64::from(COMPILES) / n_regions.max(1) as f64;
-    (us_per_region, n_regions, bytes)
+    total as f64 / best / 1e6
 }
 
 /// Whether the CPU reports the x86 SHA extensions (false off x86-64).
@@ -401,14 +317,14 @@ fn main() {
     for (label, mcfg) in BBV_CONFIGS.iter().zip(mech_cfgs) {
         let m = try_run_benchmark(b, mcfg.with_scale(scale)).expect("mechanism cell");
         assert_eq!(m.checksum, out.checksum, "{label} diverged from the characterize cell");
-        let engine = engine_tier_run(&bench, scale, engine_calls, reps, mcfg.engine_config());
+        let engine = engine_mops(&bench, scale, engine_calls, reps, mcfg.engine_config());
         mech_rows.push((
             *label,
             m.counters.by_category(checkelide_isa::Category::Check),
             m.uops,
             m.vm_stats.bbv_versions,
             m.vm_stats.bbv_cap_fallbacks,
-            engine.mops,
+            engine,
         ));
     }
     let noelide_checks = mech_rows[1].1;
@@ -424,49 +340,6 @@ fn main() {
                     ("bbv_versions", Json::UInt(versions)),
                     ("bbv_cap_fallbacks", Json::UInt(fallbacks)),
                     ("engine_mops", Json::Num(engine_mops)),
-                ])
-            })
-            .collect(),
-    );
-
-    // --- engine: plan-walk vs compiled-region steady state -------------
-    // Same kernel replayed call-after-call into a NullSink in each
-    // execution tier; the retired-µop count per call must be identical
-    // (the tiers are byte-identical by contract), so the wall-clock
-    // ratio is pure dispatch overhead removed by region compilation.
-    let engine_kernels: &[&str] = &["bitops-bits-in-byte", "math-cordic", "ai-astar"];
-    let mut engine_rows = Vec::new();
-    for &kernel in engine_kernels {
-        eprintln!("engine tiers: {kernel} (scale {scale}) ...");
-        let plan = engine_tier_run(kernel, scale, engine_calls, reps, tier_config(false));
-        let region = engine_tier_run(kernel, scale, engine_calls, reps, tier_config(true));
-        assert_eq!(
-            plan.uops_per_call, region.uops_per_call,
-            "{kernel}: tiers retired different µop counts"
-        );
-        assert!(region.stats.regions_compiled > 0, "{kernel}: region tier never engaged");
-        let (compile_us_per_region, bench_regions, bench_bytes) =
-            region_compile_probe(kernel, scale, reps);
-        engine_rows.push((kernel, plan, region, compile_us_per_region, bench_regions, bench_bytes));
-    }
-    let engine = Json::Arr(
-        engine_rows
-            .iter()
-            .map(|(kernel, plan, region, compile_us, n_regions, bytes)| {
-                Json::Obj(vec![
-                    ("bench", Json::Str((*kernel).to_string())),
-                    ("uops_per_call", Json::UInt(region.uops_per_call)),
-                    ("planwalk_mops", Json::Num(plan.mops)),
-                    ("region_mops", Json::Num(region.mops)),
-                    ("region_speedup", Json::Num(region.mops / plan.mops)),
-                    ("compile_us_per_region", Json::Num(*compile_us)),
-                    ("bench_fn_regions", Json::UInt(*n_regions)),
-                    ("bench_fn_bytes", Json::UInt(*bytes)),
-                    ("regions_compiled", Json::UInt(region.stats.regions_compiled)),
-                    ("tier_up_events", Json::UInt(region.stats.tier_up_events)),
-                    ("code_cache_bytes", Json::UInt(region.stats.code_cache_bytes)),
-                    ("evictions", Json::UInt(region.stats.evictions)),
-                    ("deopt_bridges", Json::UInt(region.stats.deopt_bridges)),
                 ])
             })
             .collect(),
@@ -656,7 +529,6 @@ fn main() {
             ]),
         ),
         ("mechanisms", mechanisms),
-        ("engine", engine),
         (
             "store",
             Json::Obj(vec![
@@ -775,26 +647,6 @@ fn main() {
         }
         println!();
     }
-    println!("== engine execution tiers (NullSink steady state) ==");
-    for (kernel, plan, region, compile_us, n_regions, bytes) in &engine_rows {
-        println!(
-            "  {kernel:<22} plan-walk {:8.1} Mµops/s   regions {:8.1} Mµops/s   speedup \
-             {:.2}x   compile {compile_us:.2} µs/region ({n_regions} regions, {bytes} B)",
-            plan.mops,
-            region.mops,
-            region.mops / plan.mops
-        );
-        println!(
-            "  {:<22} cache: {} regions compiled, {} tier-ups, {} B resident, {} evictions, \
-             {} deopt bridges",
-            "",
-            region.stats.regions_compiled,
-            region.stats.tier_up_events,
-            region.stats.code_cache_bytes,
-            region.stats.evictions,
-            region.stats.deopt_bridges
-        );
-    }
     println!("== trace store (fig1 grid population) ==");
     println!(
         "  {store_entries} entries -> {store_objects} objects ({dedup_ratio:.2}x dedup); \
@@ -849,39 +701,9 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // Engine-side gate: the first kernel's compiled-region
-        // throughput against the recorded baseline. The engine probe is
-        // far noisier than the CoreSim replay at --quick scale (one hot
-        // kernel, ~100 µs timed region on a shared vCPU: observed swing
-        // ±35 %), so this gate uses a coarser margin than the CoreSim
-        // one. It is a tier-liveness check more than a throughput
-        // ruler: a disabled or silently deoptimizing region tier runs
-        // at plan-walk speed (~0.3x of the recorded full-scale
-        // baseline) and still fails it cleanly. A baseline recorded
-        // before the region tier existed has no `region_mops` key and
-        // the gate is skipped.
-        if let Some(base_region) = json_number(&text, "region_mops") {
-            const ENGINE_FLOOR_MULT: f64 = 0.5;
-            let (_, _, first_region, ..) = &engine_rows[0];
-            let region_floor = base_region * ENGINE_FLOOR_MULT.min(mult);
-            println!(
-                "  engine regions  {:.1} Mµops/s vs floor {region_floor:.1} Mµops/s \
-                 ({:.2}x of recorded {base_region:.1})",
-                first_region.mops,
-                ENGINE_FLOOR_MULT.min(mult)
-            );
-            if first_region.mops < region_floor {
-                eprintln!(
-                    "error: compiled-region engine throughput regressed below the recorded \
-                     floor ({:.1} < {region_floor:.1} Mµops/s)",
-                    first_region.mops
-                );
-                std::process::exit(1);
-            }
-        }
-        // SHA backend liveness: like the region gate, this catches a
-        // silently dead fast path rather than measuring one. It needs no
-        // baseline key: the CPU's own feature report is the reference.
+        // SHA backend liveness: this catches a silently dead fast path
+        // rather than measuring one. It needs no baseline key: the CPU's
+        // own feature report is the reference.
         println!(
             "  SHA-256 backend {} (CPU SHA extensions: {})",
             sha256_backend(),

@@ -16,7 +16,6 @@ use crate::runner::{
 };
 use crate::suite::{selected, Benchmark, Suite, BENCHMARKS};
 use crate::tracecache::TraceCache;
-use checkelide_engine::VmStats;
 
 fn cfg_scale(b: &Benchmark, quick: bool) -> i32 {
     if quick {
@@ -71,16 +70,6 @@ pub struct CellMeta {
     /// Verify-mode hits whose re-simulation diverged from the stored
     /// result (always 0 on a healthy store).
     pub sim_verify_mismatches: u64,
-    /// Regions compiled by the cell's VM (region execution tier).
-    pub regions_compiled: u64,
-    /// Plan-walk → compiled-region tier-up events.
-    pub tier_up_events: u64,
-    /// Code-cache occupancy (bytes) at the end of the run.
-    pub code_cache_bytes: u64,
-    /// Code-cache LRU evictions.
-    pub evictions: u64,
-    /// Region-exit deopt bridges taken.
-    pub deopt_bridges: u64,
     /// Failure message, if any.
     pub error: Option<String>,
 }
@@ -100,11 +89,6 @@ impl ToJson for CellMeta {
             sim_hits,
             sim_misses,
             sim_verify_mismatches,
-            regions_compiled,
-            tier_up_events,
-            code_cache_bytes,
-            evictions,
-            deopt_bridges,
             error
         )
     }
@@ -168,7 +152,7 @@ where
     R: Send,
     F: Fn(
             &'static Benchmark,
-        ) -> Result<(R, u64, CacheDisposition, SimTelemetry, VmStats), RunError>
+        ) -> Result<(R, u64, CacheDisposition, SimTelemetry), RunError>
         + Sync,
 {
     // Static proof that the cell inputs and outputs may cross threads.
@@ -205,15 +189,10 @@ where
             sim_hits: 0,
             sim_misses: 0,
             sim_verify_mismatches: 0,
-            regions_compiled: 0,
-            tier_up_events: 0,
-            code_cache_bytes: 0,
-            evictions: 0,
-            deopt_bridges: 0,
             error: None,
         };
         match outcome.result {
-            Ok(Ok((row, uops, cache, sim_tel, stats))) => {
+            Ok(Ok((row, uops, cache, sim_tel))) => {
                 meta.cache = cache.label().to_string();
                 meta.sim_hits = sim_tel.hits;
                 meta.sim_misses = sim_tel.misses;
@@ -222,11 +201,6 @@ where
                 meta.uops_per_sec =
                     if wall_ms > 0.0 { uops as f64 / (wall_ms / 1e3) } else { 0.0 };
                 meta.ok = true;
-                meta.regions_compiled = stats.regions_compiled;
-                meta.tier_up_events = stats.tier_up_events;
-                meta.code_cache_bytes = stats.code_cache_bytes;
-                meta.evictions = stats.evictions;
-                meta.deopt_bridges = stats.deopt_bridges;
                 report.rows.push(row);
             }
             Ok(Err(run_err)) => {
@@ -487,7 +461,6 @@ pub fn fig1_report_cached(
             out.uops,
             disp,
             sim_tel,
-            out.vm_stats,
         ))
     })
 }
@@ -594,7 +567,6 @@ pub fn fig2_report_cached(
             out.uops,
             disp,
             sim_tel,
-            out.vm_stats,
         ))
     })
 }
@@ -702,7 +674,6 @@ pub fn fig3_report_cached(
             out.uops,
             disp,
             sim_tel,
-            out.vm_stats,
         ))
     })
 }
@@ -836,14 +807,14 @@ pub fn fig89(quick: bool) -> Vec<Fig89Row> {
 ///
 /// Any [`RunError`] from either configuration, or the checksum mismatch.
 pub fn try_fig89_one(b: &Benchmark, quick: bool) -> Result<Fig89Row, RunError> {
-    fig89_one_cell(b, quick, &TraceCache::disabled()).map(|(row, _, _, _, _)| row)
+    fig89_one_cell(b, quick, &TraceCache::disabled()).map(|(row, _, _, _)| row)
 }
 
 fn fig89_one_cell(
     b: &Benchmark,
     quick: bool,
     cache: &TraceCache,
-) -> Result<(Fig89Row, u64, CacheDisposition, SimTelemetry, VmStats), RunError> {
+) -> Result<(Fig89Row, u64, CacheDisposition, SimTelemetry), RunError> {
     let (base, base_disp, base_sim_tel) = try_run_benchmark_cached(
         b,
         RunConfig::baseline_timed()
@@ -890,7 +861,7 @@ fn fig89_one_cell(
         dtlb_hit: (bs.dtlb.hit_rate(), fs.dtlb.hit_rate()),
         class_cache_hit: full.class_cache.hit_rate(),
     };
-    Ok((row, base.uops + full.uops, disp, sim_tel, full.vm_stats))
+    Ok((row, base.uops + full.uops, disp, sim_tel))
 }
 
 /// Run Figures 8/9 for one benchmark, panicking on failure (compat
@@ -1025,14 +996,14 @@ pub fn fig_bbv(quick: bool) -> Vec<FigBbvRow> {
 /// Any [`RunError`] from any of the five configurations, or a checksum
 /// divergence between any configuration and the baseline run.
 pub fn try_fig_bbv_one(b: &Benchmark, quick: bool) -> Result<FigBbvRow, RunError> {
-    fig_bbv_one_cell(b, quick, &TraceCache::disabled()).map(|(row, _, _, _, _)| row)
+    fig_bbv_one_cell(b, quick, &TraceCache::disabled()).map(|(row, _, _, _)| row)
 }
 
 fn fig_bbv_one_cell(
     b: &Benchmark,
     quick: bool,
     cache: &TraceCache,
-) -> Result<(FigBbvRow, u64, CacheDisposition, SimTelemetry, VmStats), RunError> {
+) -> Result<(FigBbvRow, u64, CacheDisposition, SimTelemetry), RunError> {
     use checkelide_isa::uop::Category;
     let configs: [RunConfig; 5] = [
         RunConfig::baseline_timed(),
@@ -1047,12 +1018,8 @@ fn fig_bbv_one_cell(
     let mut disps = Vec::with_capacity(5);
     let mut checksum: Option<String> = None;
     let mut total_uops = 0u64;
-    // Engine telemetry from the `cc-full` configuration (index 2): the
-    // BBV configurations pin hot bodies in their versioning tier, so the
-    // scalar full-mechanism run is the representative region-tier cell.
-    let mut stats = VmStats::default();
     let mut sim_tel = SimTelemetry::default();
-    for (i, cfg) in configs.into_iter().enumerate() {
+    for cfg in configs {
         let (out, disp, run_sim_tel) = try_run_benchmark_cached(
             b,
             cfg.with_scale(cfg_scale(b, quick)).with_iterations(iters(quick)),
@@ -1075,9 +1042,6 @@ fn fig_bbv_one_cell(
         cycles.push(out.sim.as_ref().expect("timed").cycles);
         total_uops += out.uops;
         disps.push(disp);
-        if i == 2 {
-            stats = out.vm_stats;
-        }
     }
     let disp = if disps.iter().all(|d| *d == CacheDisposition::Hit) {
         CacheDisposition::Hit
@@ -1096,7 +1060,7 @@ fn fig_bbv_one_cell(
         uops,
         cycles,
     };
-    Ok((row, total_uops, disp, sim_tel, stats))
+    Ok((row, total_uops, disp, sim_tel))
 }
 
 /// Render the BBV head-to-head table: per-benchmark checks executed and
@@ -1232,7 +1196,7 @@ pub fn overheads_report_cached(
             cache,
         )?;
         let uops = out.uops;
-        Ok((overhead_row(b.name, &out), uops, disp, sim_tel, out.vm_stats))
+        Ok((overhead_row(b.name, &out), uops, disp, sim_tel))
     })
 }
 
@@ -1364,11 +1328,6 @@ mod tests {
             sim_hits: 2,
             sim_misses: 1,
             sim_verify_mismatches: 0,
-            regions_compiled: 4,
-            tier_up_events: 2,
-            code_cache_bytes: 4096,
-            evictions: 1,
-            deopt_bridges: 3,
             error: None,
         };
         let json = crate::json::to_string_pretty(&meta);
@@ -1384,11 +1343,6 @@ mod tests {
             "sim_hits",
             "sim_misses",
             "sim_verify_mismatches",
-            "regions_compiled",
-            "tier_up_events",
-            "code_cache_bytes",
-            "evictions",
-            "deopt_bridges",
         ] {
             assert!(json.contains(&format!("\"{key}\"")), "missing {key} in {json}");
         }

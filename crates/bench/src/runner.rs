@@ -558,19 +558,14 @@ fn run_live(
     }
 
     // Steady-state boundary: reset statistics, keep all warm state.
-    // The BBV version-table and region-tier/code-cache counters are
-    // cumulative warm-up state (like `hidden_classes`), not
-    // per-iteration events — carry them across.
+    // The BBV version-table counters are cumulative warm-up state (like
+    // `hidden_classes`), not per-iteration events — carry them across.
     vm.class_cache.reset_stats();
     vm.load_stats.reset();
     let carried = vm.stats;
     vm.stats = VmStats::default();
     vm.stats.bbv_versions = carried.bbv_versions;
     vm.stats.bbv_cap_fallbacks = carried.bbv_cap_fallbacks;
-    vm.stats.regions_compiled = carried.regions_compiled;
-    vm.stats.tier_up_events = carried.tier_up_events;
-    vm.stats.code_cache_bytes = carried.code_cache_bytes;
-    vm.stats.evictions = carried.evictions;
     vm.rt.reset_prng();
 
     let measured_err = |e: checkelide_engine::vm::VmError| RunError::Measured {

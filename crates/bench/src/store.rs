@@ -259,8 +259,9 @@ const META_MAGIC: [u8; 4] = *b"CKMT";
 /// Sidecar format version. v2 added the BBV fields of [`VmStats`]; v3
 /// added the content-store location fields (`cid`, `compression`,
 /// `stored_bytes`) when sidecars became manifest payloads; v4 added
-/// the region-tier / code-cache fields of [`VmStats`].
-const META_VERSION: u8 = 4;
+/// region-tier fields of [`VmStats`] that v5 dropped again with the
+/// tier (decode leaves them at 0).
+const META_VERSION: u8 = 5;
 
 /// Everything a [`crate::runner::RunOutput`] needs besides the µop trace
 /// itself, plus the trace body's location in the content store. Stored as
@@ -376,11 +377,6 @@ impl Sidecar {
             v.linen_accesses,
             v.bbv_versions,
             v.bbv_cap_fallbacks,
-            v.regions_compiled,
-            v.tier_up_events,
-            v.code_cache_bytes,
-            v.evictions,
-            v.deopt_bridges,
         ] {
             put_u64(&mut out, w);
         }
@@ -437,11 +433,7 @@ impl Sidecar {
             linen_accesses: c.u64()?,
             bbv_versions: c.u64()?,
             bbv_cap_fallbacks: c.u64()?,
-            regions_compiled: c.u64()?,
-            tier_up_events: c.u64()?,
-            code_cache_bytes: c.u64()?,
-            evictions: c.u64()?,
-            deopt_bridges: c.u64()?,
+            ..VmStats::default()
         };
         let obj_stats = ObjectStats {
             objects: c.u64()?,
@@ -1197,11 +1189,7 @@ mod tests {
                 linen_accesses: 9,
                 bbv_versions: 18,
                 bbv_cap_fallbacks: 19,
-                regions_compiled: 20,
-                tier_up_events: 21,
-                code_cache_bytes: 22,
-                evictions: 23,
-                deopt_bridges: 24,
+                ..VmStats::default()
             },
             obj_stats: ObjectStats {
                 objects: 11,

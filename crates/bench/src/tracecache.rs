@@ -29,9 +29,12 @@
 //!
 //! ```text
 //! bench|s<scale>|<mechanism>|opt<bool>|bbv<bool>|it<iterations>
-//!      |cc<entries>x<ways>|e<engine salt>|c<codec version>
+//!      |cc<entries>x<ways>|src<source hash>|e<engine salt>|c<codec version>
 //! ```
 //!
+//! The source hash is the first 64 bits of the SHA-256 of the
+//! benchmark's njs source, so editing a kernel invalidates exactly that
+//! kernel's entries.
 //! The engine salt is [`checkelide_engine::trace_salt`] (crate version +
 //! manually-bumped `TRACE_SCHEMA_REV`), so any harness change that alters
 //! µop emission invalidates every entry at once ([`current_key_suffix`]
@@ -66,7 +69,8 @@ use crate::cli::Cli;
 use crate::proto::RemoteStore;
 use crate::runner::RunConfig;
 use crate::simcache::{sim_fingerprint, SimCacheMode};
-use crate::store::{fnv1a64, ObjectImage, ObjectWriter, Sidecar, TraceStore};
+use crate::store::{cid_hex, fnv1a64, sha256, ObjectImage, ObjectWriter, Sidecar, TraceStore};
+use crate::suite::find;
 use checkelide_engine::Mechanism;
 use checkelide_uarch::{SimObject, SimResult, SIM_OBJECT_LEN};
 
@@ -545,13 +549,19 @@ pub struct CacheEntry {
 /// measured µop stream is included; `timing` is not (see module docs).
 #[must_use]
 pub fn cache_key(bench: &str, scale: i32, cfg: &RunConfig) -> String {
+    key_for_source(bench, find(bench).map_or("", |b| b.source), scale, cfg)
+}
+
+/// [`cache_key`] with the benchmark's njs `source` passed in.
+fn key_for_source(bench: &str, source: &str, scale: i32, cfg: &RunConfig) -> String {
+    let src = &cid_hex(&sha256(source.as_bytes()))[..16];
     let mech = match cfg.mechanism {
         Mechanism::Off => "off",
         Mechanism::ProfileOnly => "profile",
         Mechanism::Full => "full",
     };
     format!(
-        "{bench}|s{scale}|{mech}|opt{}|bbv{}|it{}|cc{}x{}{}",
+        "{bench}|s{scale}|{mech}|opt{}|bbv{}|it{}|cc{}x{}|src{src}{}",
         cfg.opt,
         cfg.bbv,
         cfg.iterations,
@@ -603,6 +613,24 @@ mod tests {
         // traces of the same mechanism.
         let bbv = base.with_bbv(true);
         assert_ne!(k0, cache_key("ai-astar", 4, &bbv));
+    }
+
+    #[test]
+    fn key_changes_with_the_kernel_source() {
+        let cfg = RunConfig::characterize();
+        let src = find("richards").expect("richards").source;
+        assert_eq!(cache_key("richards", 4, &cfg), key_for_source("richards", src, 4, &cfg));
+        // One byte changed anywhere in the source changes the key.
+        for at in [0, src.len() / 2, src.len() - 1] {
+            let mut edited = src.as_bytes().to_vec();
+            edited[at] ^= 1;
+            let edited = String::from_utf8(edited).expect("ascii source");
+            assert_ne!(
+                key_for_source("richards", src, 4, &cfg),
+                key_for_source("richards", &edited, 4, &cfg),
+                "byte {at}"
+            );
+        }
     }
 
     #[test]

@@ -76,23 +76,6 @@ pub struct EngineConfig {
     /// this so candidate programs with runaway loops terminate
     /// deterministically instead of hanging the oracle.
     pub step_budget: u64,
-    /// Region execution tier (tier 3). When enabled, an optimized
-    /// function whose activation count exceeds [`region_threshold`]
-    /// has its plans compiled into direct-threaded regions held in the
-    /// per-VM managed code cache. Byte-identical to the plan-walking
-    /// tier by construction; `CHECKELIDE_SCALAR_EXEC=1` forces the
-    /// plan-walking reference regardless of this flag.
-    ///
-    /// [`region_threshold`]: EngineConfig::region_threshold
-    pub regions: bool,
-    /// Plan-walking activations of an optimized body before it tiers
-    /// up to compiled regions (`1` = tier up after one activation).
-    pub region_threshold: u32,
-    /// Managed code-cache capacity in accounted bytes. When an insert
-    /// pushes occupancy past this bound the least-recently-used region
-    /// sets are evicted (the newest entry is always retained, so a
-    /// single oversized function still runs tiered).
-    pub code_cache_bytes: u64,
 }
 
 impl Default for EngineConfig {
@@ -106,9 +89,6 @@ impl Default for EngineConfig {
             class_cache: ClassCacheConfig::default(),
             bbv: false,
             step_budget: 0,
-            regions: true,
-            region_threshold: 2,
-            code_cache_bytes: 16 << 20,
         }
     }
 }
@@ -311,26 +291,16 @@ pub struct VmStats {
     pub bbv_versions: u64,
     /// BBV version-cap fallbacks to the generic block version.
     pub bbv_cap_fallbacks: u64,
-    /// Regions compiled into the managed code cache (cumulative; a
-    /// recompile after eviction counts again). Cumulative warm-up
-    /// state, carried across the steady-state reset like
-    /// [`bbv_versions`](VmStats::bbv_versions).
+    /// Always 0; retire with the benchmark's `opt.*` metrics.
     pub regions_compiled: u64,
-    /// Function-level tier-ups from plan-walking to compiled regions
-    /// (one per region-set compilation). Cumulative warm-up state.
+    /// Always 0; retire with the benchmark's `opt.*` metrics.
     pub tier_up_events: u64,
-    /// Current managed code-cache occupancy in accounted bytes
-    /// (a gauge, not a counter; carried across the steady-state reset).
+    /// Always 0; retire with the benchmark's `opt.*` metrics.
     pub code_cache_bytes: u64,
-    /// Region sets evicted from the code cache under capacity
-    /// pressure. Cumulative warm-up state.
+    /// Always 0; retire with the benchmark's `opt.*` metrics.
     pub evictions: u64,
-    /// Deopts that exited compiled-region code (bridged back to the
-    /// interpreter from tier 3 rather than from the plan walker).
-    pub deopt_bridges: u64,
 }
 
-/// The virtual machine.
 /// One optimized activation's pooled register file (see
 /// [`Vm::exec_scratch`]).
 #[derive(Debug, Default)]
@@ -345,6 +315,7 @@ pub struct ExecScratch {
     pub ltoks: Vec<Tok>,
 }
 
+/// The virtual machine.
 pub struct Vm {
     /// Object model.
     pub rt: Runtime,

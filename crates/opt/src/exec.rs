@@ -12,10 +12,8 @@
 //! function's own stores resume after the offending store (§4.2.2).
 
 use crate::bbv::{BbvState, BlockVersion};
-use crate::codecache::CodeCache;
 use crate::context::TypeCtx;
 use crate::plan::*;
-use crate::region::{FusedSrc, FusedTail, RegionSet, ROp};
 use checkelide_engine::bytecode::{Bc, BytecodeFunc};
 use checkelide_engine::emit::{stubs, Emitter};
 use checkelide_engine::vm::CODE_STRIDE;
@@ -27,16 +25,8 @@ use checkelide_isa::uop::{Category, MemRef, Provenance, Region, Tok, Uop, UopKin
 use checkelide_isa::BatchSink;
 use checkelide_runtime::numops::{self, BitwiseOp, CmpOp};
 use checkelide_runtime::{maps::fixed, Builtin, ElemKind, FuncRef, MapIx, Value};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Environment toggle forcing the plan-walking reference tier: set
-/// `CHECKELIDE_SCALAR_EXEC=1` and every optimized activation walks
-/// `(Bc, OpPlan)` pairs exactly as before the region tier existed.
-/// The region tier must be byte-identical to this path (CI diffs the
-/// figure goldens both ways), mirroring `CHECKELIDE_SCALAR_SIM` for
-/// CoreSim.
-pub const SCALAR_EXEC_ENV: &str = "CHECKELIDE_SCALAR_EXEC";
 
 /// Optimized code for one function.
 pub struct OptimizedBody {
@@ -52,41 +42,6 @@ pub struct OptimizedBody {
     /// `EngineConfig::bbv`. `None` keeps the scalar plan-walking path
     /// (the differential reference) byte-identical to before.
     pub bbv: Option<RefCell<BbvState>>,
-    /// Plan-walking activations so far (the region tier-up trigger).
-    pub activations: Cell<u32>,
-    /// The per-VM managed code cache, shared with the `Optimizer` that
-    /// produced this body (and with every other body it compiles).
-    pub cache: Rc<RefCell<CodeCache>>,
-    /// [`SCALAR_EXEC_ENV`] was set when this body was compiled: pin
-    /// the plan-walking reference tier.
-    pub scalar_forced: bool,
-}
-
-impl OptimizedBody {
-    /// Decide this activation's execution tier: `Some` = compiled
-    /// regions (tier 3, looked up or compiled into the code cache),
-    /// `None` = plan-walking (tier 2). BBV bodies always plan-walk —
-    /// their plans are per-version and materialize lazily, so there is
-    /// no stable plan vector to compile regions from.
-    fn region_set(&self, vm: &mut Vm) -> Option<Rc<RegionSet>> {
-        if self.bbv.is_some() || self.scalar_forced || !vm.config.regions {
-            return None;
-        }
-        let n = self.activations.get().saturating_add(1);
-        self.activations.set(n);
-        if n <= vm.config.region_threshold {
-            return None;
-        }
-        let epoch = vm.deopt_epoch(self.func);
-        let mut cache = self.cache.borrow_mut();
-        cache.set_capacity(vm.config.code_cache_bytes);
-        if let Some(set) = cache.get(self.func, epoch, &mut vm.stats) {
-            return Some(set);
-        }
-        let set = Rc::new(crate::region::compile(self.func, &self.bc, &self.plans));
-        cache.insert(self.func, epoch, Rc::clone(&set), &mut vm.stats);
-        Some(set)
-    }
 }
 
 impl OptimizedCode for OptimizedBody {
@@ -110,7 +65,6 @@ impl OptimizedCode for OptimizedBody {
         scratch.stoks.clear();
         scratch.ltoks.clear();
         scratch.ltoks.resize(self.bc.n_locals as usize, Tok::NONE);
-        let set = self.region_set(vm);
         let mut ex = Exec {
             vm,
             body: self,
@@ -125,10 +79,7 @@ impl OptimizedCode for OptimizedBody {
             code_base: OPT_CODE_BASE + self.func as u64 * CODE_STRIDE,
         };
         ex.epoch = ex.vm.deopt_epoch(self.func);
-        let result = match set {
-            Some(set) => ex.run_regions(sink, &set),
-            None => ex.run(sink),
-        };
+        let result = ex.run(sink);
         let Exec { vm, locals, stack, stoks, ltoks, .. } = ex;
         vm.exec_scratch.push(ExecScratch { locals, stack, stoks, ltoks });
         result
@@ -159,24 +110,6 @@ enum Flow {
     Return(Value),
     Deopt(DeoptState),
     Error(VmError),
-}
-
-/// Control transfer between compiled regions (tier 3).
-enum RFlow {
-    /// Fall through to the next compiled op.
-    Continue,
-    /// Enter the region at this index.
-    Goto(usize),
-    /// Activation finished: return, deopt bridge, or error.
-    Done(ExecResult),
-}
-
-/// Result of [`Exec::fused_fast`]: `Cmp` keeps the raw comparison
-/// outcome so a fused `JumpIf` tail can branch without materializing
-/// (or truth-testing) the boolean value.
-enum FastBin {
-    Val(Value),
-    Cmp(bool),
 }
 
 impl<'a> Exec<'a> {
@@ -468,434 +401,6 @@ impl<'a> Exec<'a> {
     fn enter_block(&mut self, from: &BlockVersion, pc: usize) -> Rc<BlockVersion> {
         let cell = self.body.bbv.as_ref().expect("bbv state");
         cell.borrow_mut().successor(self.vm, self.body.func, &self.body.bc, from, pc)
-    }
-
-    /// Map a handler's [`Flow`] back onto region control flow. A deopt
-    /// leaving compiled-region code is a deopt *bridge*: the architected
-    /// interpreter state the handler reconstructed crosses the tier
-    /// boundary here, and we count the crossing.
-    fn bridge(&mut self, flow: Flow, set: &RegionSet) -> RFlow {
-        match flow {
-            Flow::Next => RFlow::Continue,
-            Flow::Jump(t) => RFlow::Goto(set.entry_of[t] as usize),
-            Flow::Return(v) => RFlow::Done(ExecResult::Return(v)),
-            Flow::Deopt(state) => {
-                self.vm.stats.deopt_bridges += 1;
-                RFlow::Done(ExecResult::Deopt(state))
-            }
-            Flow::Error(e) => RFlow::Done(ExecResult::Error(e)),
-        }
-    }
-
-    /// Materialize a fused binary operand. Locals carry the token from
-    /// their token slot (as `LdLocal`'s stack push would); SMI
-    /// immediates mint a fresh token exactly like `LdaSmi` — skipped
-    /// under a discarding sink, where tokens are unobservable.
-    #[inline]
-    fn fused_operand(&mut self, sink: &BatchSink<'_>, src: FusedSrc) -> (Value, Tok) {
-        match src {
-            FusedSrc::Local(i) => (self.locals[i as usize], self.ltoks[i as usize]),
-            FusedSrc::Smi(n) => {
-                let t = if sink.discarding() { Tok::NONE } else { self.em.fresh() };
-                (Value::smi(n), t)
-            }
-        }
-    }
-
-    /// Discarding-sink fast path for a fused binary op: with every µop
-    /// and token unobservable ([`BatchSink::discarding`]; the trace
-    /// layer guarantees sink choice cannot change program behaviour),
-    /// an SMI-mode op whose checks reduce to SMI-tag tests can be
-    /// evaluated directly. This has **no side effects** — no stack or
-    /// emitter writes, no allocation, no profiling — so returning
-    /// `None` (unsupported op, non-SMI operand, overflow, any bail)
-    /// safely re-enters the generic [`Exec::do_binary_vals`] path,
-    /// which re-derives the identical result or deopt.
-    fn fused_fast(&self, plan: Option<&BinPlan>, op: Bc, lv: Value, rv: Value) -> Option<FastBin> {
-        let p = plan?;
-        if !matches!(p.mode, NumMode::Smi)
-            || !matches!(p.lhs.check, CheckKind::None | CheckKind::Smi)
-            || !matches!(p.rhs.check, CheckKind::None | CheckKind::Smi)
-            || !lv.is_smi()
-            || !rv.is_smi()
-        {
-            return None;
-        }
-        let (a, b) = (lv.as_smi(), rv.as_smi());
-        Some(match op {
-            Bc::TestLt(_) => FastBin::Cmp(a < b),
-            Bc::TestLe(_) => FastBin::Cmp(a <= b),
-            Bc::TestGt(_) => FastBin::Cmp(a > b),
-            Bc::TestGe(_) => FastBin::Cmp(a >= b),
-            Bc::TestEq(_) | Bc::TestStrictEq(_) => FastBin::Cmp(a == b),
-            Bc::TestNe(_) | Bc::TestStrictNe(_) => FastBin::Cmp(a != b),
-            Bc::Add(_) => FastBin::Val(Value::smi(a.checked_add(b)?)),
-            Bc::Sub(_) => FastBin::Val(Value::smi(a.checked_sub(b)?)),
-            Bc::BitAnd(_) => FastBin::Val(Value::smi(a & b)),
-            Bc::BitOr(_) => FastBin::Val(Value::smi(a | b)),
-            Bc::BitXor(_) => FastBin::Val(Value::smi(a ^ b)),
-            Bc::Shl(_) => FastBin::Val(Value::smi(a << (b as u32 & 31))),
-            Bc::Sar(_) => FastBin::Val(Value::smi(a >> (b as u32 & 31))),
-            // Mul/Div/Mod/Shr have subtle bail conditions (minus zero,
-            // exactness, out-of-smi-range): leave them to the generic
-            // path, which re-derives the deopt exactly.
-            _ => return None,
-        })
-    }
-
-    /// Tier 3: direct-threaded walk over pre-compiled regions.
-    ///
-    /// Byte-identical to [`Exec::run`] by construction — all dispatch
-    /// work that the plan walker redoes per dynamic op (bytecode decode,
-    /// `ColdDeopt` test, plan destructuring) was folded into the
-    /// [`ROp`]s at region-compile time, and none of it emits µops. Ops
-    /// that cannot emit also skip the per-op emitter cursor move
-    /// (`em.at`): the cursor is only consumed by emitting ops, which
-    /// carry their precomputed address in [`crate::region::COp::at`].
-    #[allow(clippy::too_many_lines)]
-    fn run_regions(&mut self, sink: &mut BatchSink<'_>, set: &RegionSet) -> ExecResult {
-        let body = self.body;
-        let mut ridx = set.entry_of[0] as usize;
-        'regions: loop {
-            let region = &set.regions[ridx];
-            let mut i = 0usize;
-            loop {
-                if i == region.ops.len() {
-                    // Ran off the region end: fall through into the
-                    // next region (regions partition the bytecode, so
-                    // `end_pc` is always the next region's entry).
-                    ridx = set.entry_of[region.end_pc as usize] as usize;
-                    continue 'regions;
-                }
-                let cop = &region.ops[i];
-                i += 1;
-                if self.vm.steps_remaining == 0 {
-                    return ExecResult::Error(VmError::new(checkelide_engine::STEP_BUDGET_MSG));
-                }
-                self.vm.steps_remaining -= 1;
-                let flow = match &cop.op {
-                    ROp::ColdDeopt => self.cold_deopt(cop.pc as usize),
-                    ROp::LdaSmi(n) => {
-                        // Tokens are pure trace metadata: skip the
-                        // thread-local mint when the sink discards.
-                        let t = if sink.discarding() { Tok::NONE } else { self.em.fresh() };
-                        self.push(Value::smi(*n), t);
-                        continue;
-                    }
-                    ROp::LdaNum(f) => {
-                        self.em.at(cop.at);
-                        let v = self.vm.rt.double_constant(*f);
-                        let t = self.em.root(sink, UopKind::Move, Category::OtherOptimized);
-                        self.push(v, t);
-                        continue;
-                    }
-                    ROp::LdaStr(ix) => {
-                        self.em.at(cop.at);
-                        let v = self.vm.rt.string_value(&body.bc.strings[*ix as usize]);
-                        let t = self.em.root(sink, UopKind::Move, Category::OtherOptimized);
-                        self.push(v, t);
-                        continue;
-                    }
-                    ROp::LdaTrue => {
-                        let v = self.vm.rt.odd.true_v;
-                        self.push(v, Tok::NONE);
-                        continue;
-                    }
-                    ROp::LdaFalse => {
-                        let v = self.vm.rt.odd.false_v;
-                        self.push(v, Tok::NONE);
-                        continue;
-                    }
-                    ROp::LdaNull => {
-                        let v = self.vm.rt.odd.null;
-                        self.push(v, Tok::NONE);
-                        continue;
-                    }
-                    ROp::LdaUndef => {
-                        let v = self.vm.rt.odd.undefined;
-                        self.push(v, Tok::NONE);
-                        continue;
-                    }
-                    ROp::LdaThis => {
-                        let (v, t) = (self.this, Tok::NONE);
-                        self.push(v, t);
-                        continue;
-                    }
-                    ROp::LdaFunc(ix) => {
-                        self.em.at(cop.at);
-                        let v = self.vm.function_value(*ix);
-                        let t = self.em.root(sink, UopKind::Move, Category::OtherOptimized);
-                        self.push(v, t);
-                        continue;
-                    }
-                    ROp::LdLocal(i) => {
-                        let (v, t) = (self.locals[*i as usize], self.ltoks[*i as usize]);
-                        self.push(v, t);
-                        continue;
-                    }
-                    ROp::StLocal(i) => {
-                        let (v, t) = self.pop();
-                        self.locals[*i as usize] = v;
-                        self.ltoks[*i as usize] = t;
-                        continue;
-                    }
-                    ROp::LdGlobal(g) => {
-                        self.em.at(cop.at);
-                        let v = self.vm.globals[*g as usize];
-                        let t =
-                            self.em.root_load(sink, Vm::global_addr(*g), Category::OtherOptimized);
-                        self.push(v, t);
-                        continue;
-                    }
-                    ROp::StGlobal(g) => {
-                        self.em.at(cop.at);
-                        let (v, t) = self.pop();
-                        self.em.set_acc(t);
-                        self.em.chain_store(sink, Vm::global_addr(*g), Category::OtherOptimized);
-                        self.vm.globals[*g as usize] = v;
-                        continue;
-                    }
-                    ROp::Jump(t) => {
-                        self.em.at(cop.at);
-                        self.em.jump(sink, Category::OtherOptimized);
-                        ridx = set.entry_of[*t as usize] as usize;
-                        continue 'regions;
-                    }
-                    ROp::JumpIf { target, jif } => {
-                        self.em.at(cop.at);
-                        let (v, vt) = self.pop();
-                        self.em.set_acc(vt);
-                        let truthy = self.vm.rt.is_truthy(v);
-                        if !(v.is_smi()
-                            || matches!(
-                                self.vm.rt.kind_of(v),
-                                checkelide_runtime::VKind::Bool(_)
-                            ))
-                        {
-                            self.em.chain(sink, UopKind::Alu, Category::OtherOptimized);
-                        }
-                        self.em.chain(sink, UopKind::Alu, Category::OtherOptimized);
-                        let taken = if *jif { !truthy } else { truthy };
-                        self.em.chain_branch(sink, taken, Category::OtherOptimized);
-                        if taken {
-                            ridx = set.entry_of[*target as usize] as usize;
-                            continue 'regions;
-                        }
-                        continue;
-                    }
-                    ROp::Dup => {
-                        let (v, t) = self.pop();
-                        self.push(v, t);
-                        self.push(v, t);
-                        continue;
-                    }
-                    ROp::Pop => {
-                        self.pop();
-                        continue;
-                    }
-                    ROp::Not => {
-                        self.em.at(cop.at);
-                        let (v, vt) = self.pop();
-                        self.em.set_acc(vt);
-                        let truthy = self.vm.rt.is_truthy(v);
-                        let t = self.em.chain(sink, UopKind::Alu, Category::OtherOptimized);
-                        let b = self.vm.rt.bool_value(!truthy);
-                        self.push(b, t);
-                        continue;
-                    }
-                    ROp::Return => {
-                        self.em.at(cop.at);
-                        let (v, _) = self.pop();
-                        self.em.jump(sink, Category::OtherOptimized);
-                        return ExecResult::Return(v);
-                    }
-                    ROp::ReturnUndef => {
-                        self.em.at(cop.at);
-                        self.em.jump(sink, Category::OtherOptimized);
-                        let u = self.vm.rt.odd.undefined;
-                        return ExecResult::Return(u);
-                    }
-                    ROp::LoopHead(hoists) => {
-                        self.em.at(cop.at);
-                        self.do_loop_head(sink, hoists, cop.pc as usize)
-                    }
-                    ROp::GetProp { name, plan } => {
-                        self.em.at(cop.at);
-                        self.do_get_prop(sink, plan.as_ref(), *name, cop.pc as usize)
-                    }
-                    ROp::SetProp { name, plan } => {
-                        self.em.at(cop.at);
-                        self.do_set_prop(sink, plan.as_ref(), *name, cop.pc as usize)
-                    }
-                    ROp::GetElem(plan) => {
-                        self.em.at(cop.at);
-                        self.do_get_elem(sink, plan.as_ref(), cop.pc as usize)
-                    }
-                    ROp::SetElem(plan) => {
-                        self.em.at(cop.at);
-                        self.do_set_elem(sink, plan.as_ref(), cop.pc as usize)
-                    }
-                    ROp::Bin { op, plan } => {
-                        self.em.at(cop.at);
-                        self.do_binary(sink, plan.as_ref(), *op, cop.pc as usize)
-                    }
-                    ROp::BinFused { op, plan, lhs, rhs, tail } => {
-                        // A superinstruction stands for 3–4 bytecode
-                        // ops. The walker's per-op decrement above
-                        // covered the first operand load; pay for the
-                        // second load and the binary op here, failing
-                        // exactly where the plan walker would (the
-                        // skipped loads are µop-silent, so erroring
-                        // before them is observably identical).
-                        if self.vm.steps_remaining < 2 {
-                            self.vm.steps_remaining = 0;
-                            return ExecResult::Error(VmError::new(
-                                checkelide_engine::STEP_BUDGET_MSG,
-                            ));
-                        }
-                        self.vm.steps_remaining -= 2;
-                        let (lv, lt) = self.fused_operand(sink, *lhs);
-                        let (rv, _) = self.fused_operand(sink, *rhs);
-                        if sink.discarding() {
-                            if let Some(f) = self.fused_fast(plan.as_ref(), *op, lv, rv) {
-                                match *tail {
-                                    FusedTail::Push => {
-                                        let v = match f {
-                                            FastBin::Val(v) => v,
-                                            FastBin::Cmp(r) => self.vm.rt.bool_value(r),
-                                        };
-                                        self.push(v, Tok::NONE);
-                                        continue;
-                                    }
-                                    FusedTail::St(d) => {
-                                        if self.vm.steps_remaining == 0 {
-                                            return ExecResult::Error(VmError::new(
-                                                checkelide_engine::STEP_BUDGET_MSG,
-                                            ));
-                                        }
-                                        self.vm.steps_remaining -= 1;
-                                        let v = match f {
-                                            FastBin::Val(v) => v,
-                                            FastBin::Cmp(r) => self.vm.rt.bool_value(r),
-                                        };
-                                        self.locals[d as usize] = v;
-                                        self.ltoks[d as usize] = Tok::NONE;
-                                        continue;
-                                    }
-                                    FusedTail::Jump { target, jif, .. } => {
-                                        if self.vm.steps_remaining == 0 {
-                                            return ExecResult::Error(VmError::new(
-                                                checkelide_engine::STEP_BUDGET_MSG,
-                                            ));
-                                        }
-                                        self.vm.steps_remaining -= 1;
-                                        let truthy = match f {
-                                            FastBin::Cmp(r) => r,
-                                            FastBin::Val(v) => self.vm.rt.is_truthy(v),
-                                        };
-                                        let taken = if jif { !truthy } else { truthy };
-                                        if taken {
-                                            ridx = set.entry_of[target as usize] as usize;
-                                            continue 'regions;
-                                        }
-                                        continue;
-                                    }
-                                }
-                            }
-                        }
-                        self.em.at(cop.at);
-                        let flow = self
-                            .do_binary_vals(sink, plan.as_ref(), *op, lv, lt, rv, cop.pc as usize);
-                        if !matches!(flow, Flow::Next) {
-                            match self.bridge(flow, set) {
-                                RFlow::Continue => unreachable!("Flow::Next filtered above"),
-                                RFlow::Goto(r) => {
-                                    ridx = r;
-                                    continue 'regions;
-                                }
-                                RFlow::Done(r) => return r,
-                            }
-                        }
-                        match *tail {
-                            FusedTail::Push => continue,
-                            FusedTail::St(d) => {
-                                if self.vm.steps_remaining == 0 {
-                                    return ExecResult::Error(VmError::new(
-                                        checkelide_engine::STEP_BUDGET_MSG,
-                                    ));
-                                }
-                                self.vm.steps_remaining -= 1;
-                                let (v, t) = self.pop();
-                                self.locals[d as usize] = v;
-                                self.ltoks[d as usize] = t;
-                                continue;
-                            }
-                            FusedTail::Jump { target, jif, at } => {
-                                if self.vm.steps_remaining == 0 {
-                                    return ExecResult::Error(VmError::new(
-                                        checkelide_engine::STEP_BUDGET_MSG,
-                                    ));
-                                }
-                                self.vm.steps_remaining -= 1;
-                                self.em.at(at);
-                                let (v, vt) = self.pop();
-                                self.em.set_acc(vt);
-                                let truthy = self.vm.rt.is_truthy(v);
-                                if !(v.is_smi()
-                                    || matches!(
-                                        self.vm.rt.kind_of(v),
-                                        checkelide_runtime::VKind::Bool(_)
-                                    ))
-                                {
-                                    self.em.chain(sink, UopKind::Alu, Category::OtherOptimized);
-                                }
-                                self.em.chain(sink, UopKind::Alu, Category::OtherOptimized);
-                                let taken = if jif { !truthy } else { truthy };
-                                self.em.chain_branch(sink, taken, Category::OtherOptimized);
-                                if taken {
-                                    ridx = set.entry_of[target as usize] as usize;
-                                    continue 'regions;
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    ROp::Un { op, plan } => {
-                        self.em.at(cop.at);
-                        self.do_unary(sink, plan.as_ref(), *op, cop.pc as usize)
-                    }
-                    ROp::Call { argc, known } => {
-                        self.em.at(cop.at);
-                        self.do_call(sink, *known, *argc, cop.pc as usize)
-                    }
-                    ROp::CallMethod { name, argc, plan } => {
-                        self.em.at(cop.at);
-                        self.do_call_method(sink, plan.as_ref(), *name, *argc, cop.pc as usize)
-                    }
-                    ROp::New { argc, ctor } => {
-                        self.em.at(cop.at);
-                        self.do_new(sink, *ctor, *argc, cop.pc as usize)
-                    }
-                    ROp::NewObject => {
-                        self.em.at(cop.at);
-                        self.do_new_object(sink);
-                        continue;
-                    }
-                    ROp::NewArray(n) => {
-                        self.em.at(cop.at);
-                        self.do_new_array(sink, *n, cop.pc as usize)
-                    }
-                };
-                match self.bridge(flow, set) {
-                    RFlow::Continue => {}
-                    RFlow::Goto(r) => {
-                        ridx = r;
-                        continue 'regions;
-                    }
-                    RFlow::Done(r) => return r,
-                }
-            }
-        }
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1651,26 +1156,6 @@ impl<'a> Exec<'a> {
     ) -> Flow {
         let (rhs, _rt) = self.pop();
         let (lhs, lt_) = self.pop();
-        self.do_binary_vals(sink, plan, op, lhs, lt_, rhs, pc)
-    }
-
-    /// Binary op body on already-materialized operands. The plan walker
-    /// reaches it through [`Exec::do_binary`]'s stack pops; the region
-    /// tier's fused superinstructions pass operands straight from
-    /// locals/immediates. Deopts reconstruct `[.., lhs, rhs]` on the
-    /// interpreter stack either way, so both entry paths resume
-    /// identically at `pc`.
-    #[allow(clippy::too_many_arguments)]
-    fn do_binary_vals(
-        &mut self,
-        sink: &mut BatchSink<'_>,
-        plan: Option<&BinPlan>,
-        op: Bc,
-        lhs: Value,
-        lt_: Tok,
-        rhs: Value,
-        pc: usize,
-    ) -> Flow {
         self.em.set_acc(lt_);
         let Some(p) = plan else {
             // No feedback-specialized plan: generic stub.

@@ -42,41 +42,25 @@
 
 pub mod analyze;
 pub mod bbv;
-pub mod codecache;
 pub mod context;
 pub mod exec;
 pub mod plan;
-pub mod region;
 
 use checkelide_core::FuncId;
 use checkelide_engine::{CompileOutcome, OptimizerHook, Vm};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 pub use analyze::{analyze, Abs, Analysis};
 pub use bbv::{BbvState, BlockVersion, VERSION_CAP};
-pub use codecache::CodeCache;
 pub use context::{TypeCtx, TypeTag};
-pub use exec::{OptimizedBody, SCALAR_EXEC_ENV};
+pub use exec::OptimizedBody;
 pub use plan::{CheckKind, NumMode, OpPlan};
-pub use region::{FusedSrc, FusedTail, RegionSet, ROp};
 
-/// The optimizing compiler. Holds the managed code cache for the
-/// region tier — one `Optimizer` is installed per `Vm`
-/// ([`install_optimizer`]), so the cache is per-VM state shared across
-/// every body it compiles.
+/// The optimizing compiler: analyzes a hot function's feedback and
+/// hands the engine an [`OptimizedBody`] that walks the resulting plans.
 #[derive(Debug, Default)]
-pub struct Optimizer {
-    cache: Rc<RefCell<CodeCache>>,
-}
-
-impl Optimizer {
-    /// New optimizer with an empty code cache.
-    #[must_use]
-    pub fn new() -> Optimizer {
-        Optimizer::default()
-    }
-}
+pub struct Optimizer;
 
 impl OptimizerHook for Optimizer {
     fn compile(&self, vm: &mut Vm, func: u32) -> CompileOutcome {
@@ -105,14 +89,11 @@ impl OptimizerHook for Optimizer {
             plans: analysis.plans,
             elided_sites: analysis.elided_sites,
             bbv: bbv_state,
-            activations: Cell::new(0),
-            cache: Rc::clone(&self.cache),
-            scalar_forced: std::env::var_os(SCALAR_EXEC_ENV).is_some(),
         }))
     }
 }
 
 /// Install the optimizing tier on a VM.
 pub fn install_optimizer(vm: &mut Vm) {
-    vm.set_optimizer(Rc::new(Optimizer::new()));
+    vm.set_optimizer(Rc::new(Optimizer));
 }

@@ -380,107 +380,23 @@ fn optimized_code_emits_movstore_instructions_in_full_mode() {
     assert_eq!(vm.global_value("r").unwrap().as_smi(), 199);
 }
 
-// ---------------------------------------------------------------------------
-// Region execution tier (tier 3): tiering, code-cache eviction, deopt
-// bridging. The plan-walking reference is `regions: false`; the region
-// configurations must be observationally identical to it.
-// ---------------------------------------------------------------------------
-
-/// Eager region tiering: every optimized function tiers up to compiled
-/// regions after one plan-walking activation.
-fn region_cfg() -> EngineConfig {
-    EngineConfig {
-        mechanism: Mechanism::Full,
-        region_threshold: 1,
-        ..EngineConfig::default()
-    }
-}
-
-/// A workload with several concurrently-hot functions, sized so a tiny
-/// code cache must evict mid-run.
-const MULTI_HOT_SRC: &str = "function fa(n) { var s = 0; for (var i = 0; i < n; i++) s = s + (i & 7); return s; }
-     function fb(n) { var s = 1; for (var i = 0; i < n; i++) s = s + i * 2 - (i >> 1); return s; }
-     function fc(n) { var s = 0; for (var i = 0; i < n; i++) s = s ^ (i << 1); return s; }
-     function fd(n) { var a = []; for (var i = 0; i < n; i++) a[i] = i; var s = 0;
-                      for (var j = 0; j < n; j++) s = s + a[j]; return s; }
-     var r = 0;
-     for (var k = 0; k < 40; k++) {
-         r = r + fa(60) + fb(60) + fc(60) + fd(30);
-     }";
-
-#[test]
-fn region_tier_matches_plan_walk_observables() {
-    let (vm_ref, a) =
-        run_config(MULTI_HOT_SRC, EngineConfig { regions: false, ..region_cfg() }, "r");
-    let (vm_reg, b) = run_config(MULTI_HOT_SRC, region_cfg(), "r");
-    assert_eq!(a, b, "region tier diverged from plan walk");
-    assert!(vm_reg.stats.regions_compiled > 0, "region tier never engaged");
-    assert!(vm_reg.stats.tier_up_events >= 4, "all four hot functions tier up");
-    assert!(vm_reg.stats.code_cache_bytes > 0);
-    assert_eq!(vm_ref.stats.regions_compiled, 0, "plan-walk reference compiled regions");
-    // Deopt totals agree: region entry/exit is invisible to speculation
-    // accounting.
-    assert_eq!(vm_ref.stats.deopts, vm_reg.stats.deopts);
-}
-
-#[test]
-fn tiny_code_cache_evicts_and_retiers_with_identical_observables() {
-    let tiny = EngineConfig { code_cache_bytes: 2048, ..region_cfg() };
-    let (vm_ref, a) =
-        run_config(MULTI_HOT_SRC, EngineConfig { regions: false, ..region_cfg() }, "r");
-    let (vm, b) = run_config(MULTI_HOT_SRC, tiny, "r");
-    assert_eq!(a, b, "eviction/re-tiering changed observables");
-    assert!(vm.stats.evictions > 0, "2 KiB cache must evict with 4 hot functions");
-    // Evicted functions re-enter through the plan walker and tier up
-    // again: strictly more tier-ups than functions.
-    assert!(
-        vm.stats.tier_up_events > 4,
-        "expected re-tiering after eviction, got {} tier-ups",
-        vm.stats.tier_up_events
-    );
-    // No strict occupancy bound: the newest entry is always retained,
-    // so a single region set larger than the capacity may be resident
-    // alone. The cache can never hold *two* entries over capacity.
-    assert!(vm.stats.code_cache_bytes > 0);
-    assert_eq!(vm_ref.stats.deopts, vm.stats.deopts);
-}
-
-#[test]
-fn region_uop_stream_is_byte_identical_to_plan_walk() {
-    use checkelide_isa::trace::VecSink;
-    let run = |cfg: EngineConfig| {
-        let mut vm = Vm::new(cfg);
-        install_optimizer(&mut vm);
-        let mut sink = VecSink::new();
-        vm.run_program(MULTI_HOT_SRC, &mut sink).expect("program runs");
-        sink.uops
-    };
-    let reference = run(EngineConfig { regions: false, ..region_cfg() });
-    let region = run(region_cfg());
-    assert_eq!(reference.len(), region.len(), "µop counts diverged");
-    assert_eq!(reference, region, "µop streams diverged");
-}
-
 /// Regression: a `NewArray` literal whose element stores raise a
-/// self-deopt (kind transition invalidating the running function) must
-/// surface the deopt instead of swallowing the flow — the array is fully
-/// constructed, then the activation bails after the op (the
-/// partial-side-effect rule).
+/// self-deopt (storing a `Q` breaks the elements-array monomorphism
+/// `make` speculated on) must surface the deopt instead of swallowing the
+/// flow — the array is fully constructed, then the activation bails after
+/// the op (the partial-side-effect rule). Abandoning the remaining stores
+/// leaves `a[1]` undefined and the program fails.
 #[test]
 fn new_array_self_deopt_is_not_swallowed() {
-    let src = "function make(x) { var a = [x, x, x]; return a[0] + a[1] + a[2]; }
+    let src = "function P(v) { this.v = v; }
+         function Q(w, v) { this.w = w; this.v = v; }
+         function make(o) { var a = [o, o, o]; return a[0].v + a[1].v + a[2].v; }
          var r = 0;
-         for (var i = 0; i < 40; i++) r = r + make(i);
-         var tail = make(0.5);";
-    let (vm_ref, a) = run_config(src, EngineConfig { regions: false, ..region_cfg() }, "tail");
-    let (vm_reg, b) = run_config(src, region_cfg(), "tail");
-    assert_eq!(a, b);
-    assert_eq!(a, "1.5");
-    assert!(
-        vm_ref.stats.deopts > 0,
-        "the double literal store must deopt the smi-specialized body"
-    );
-    assert_eq!(vm_ref.stats.deopts, vm_reg.stats.deopts, "deopt accounting diverged");
-    // The region tier exits through the deopt bridge.
-    assert!(vm_reg.stats.deopt_bridges > 0, "region tier never bridged a deopt");
+         for (var i = 0; i < 40; i++) r = r + make(new P(i));
+         var tail = make(new Q(0, 0.5));";
+    let cfg = EngineConfig { mechanism: Mechanism::Full, ..EngineConfig::default() };
+    let (vm, tail) = run_config(src, cfg, "tail");
+    assert_eq!(tail, "1.5");
+    assert!(vm.stats.misspec_exceptions > 0, "the literal's store must misspeculate");
+    assert!(vm.stats.deopts > 0, "the misspeculation must deopt the running body");
 }

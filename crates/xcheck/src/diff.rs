@@ -98,15 +98,6 @@ pub fn run_engine(src: &str, config: EngineConfig) -> Observed {
 /// * `cc+bbv` — both elision mechanisms at once: BBV block versions on
 ///   top of the full Class Cache, exercising the interaction between
 ///   version-local facts and registered speculations.
-/// * `region-eager` — full mechanism with `region_threshold = 1`, so
-///   every optimized function tiers up to compiled regions after a
-///   single plan-walking activation: exercises the region compiler,
-///   the fused superinstructions, and the guard/deopt bridge on every
-///   generated program.
-/// * `region-tiny-cache` — eager region tiering with a 2 KiB code
-///   cache, so concurrently-hot functions evict each other and
-///   re-tier mid-run: exercises LRU eviction, recompilation, and the
-///   epoch-keyed stale-entry guard.
 ///
 /// `opt_threshold` is lowered to 2 so the short generated loops actually
 /// tier up.
@@ -162,27 +153,6 @@ pub fn config_matrix() -> Vec<(String, EngineConfig)> {
                 opt_threshold: 2,
                 mechanism: Mechanism::Full,
                 bbv: true,
-                ..base
-            },
-        ),
-        (
-            "region-eager".into(),
-            EngineConfig {
-                opt_enabled: true,
-                opt_threshold: 2,
-                mechanism: Mechanism::Full,
-                region_threshold: 1,
-                ..base
-            },
-        ),
-        (
-            "region-tiny-cache".into(),
-            EngineConfig {
-                opt_enabled: true,
-                opt_threshold: 2,
-                mechanism: Mechanism::Full,
-                region_threshold: 1,
-                code_cache_bytes: 2048,
                 ..base
             },
         ),
@@ -402,7 +372,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_has_the_eight_configs() {
+    fn matrix_has_the_six_configs() {
         let m = config_matrix();
         let names: Vec<&str> = m.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
@@ -413,9 +383,7 @@ mod tests {
                 "cc-full",
                 "cc-lowdeopt",
                 "bbv",
-                "cc+bbv",
-                "region-eager",
-                "region-tiny-cache"
+                "cc+bbv"
             ]
         );
         assert!(!m[0].1.opt_enabled);
@@ -426,11 +394,6 @@ mod tests {
         assert!(m[4].1.bbv && m[4].1.mechanism == Mechanism::ProfileOnly);
         assert!(m[5].1.bbv && m[5].1.mechanism == Mechanism::Full);
         assert!(m.iter().take(4).all(|(_, c)| !c.bbv));
-        // The region configs tier up after one plan-walking activation;
-        // the tiny-cache variant forces mid-run LRU eviction.
-        assert!(m[6].1.region_threshold == 1 && m[6].1.regions);
-        assert_eq!(m[7].1.code_cache_bytes, 2048);
-        assert!(m.iter().take(6).all(|(_, c)| c.region_threshold > 1));
     }
 
     #[test]
