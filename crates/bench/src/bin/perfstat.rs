@@ -53,7 +53,6 @@
 use checkelide_bench::figures::{
     fig1_report, fig1_report_cached, fig89_report_cached, save_json, BBV_CONFIGS,
 };
-use checkelide_bench::proto::{serve, RemoteStore};
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
 use checkelide_bench::store::{sha256, sha256_backend, ObjectWriter};
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
@@ -372,11 +371,11 @@ fn main() {
     let warm_hits = cache.stats().hits;
     assert!(warm_hits as usize >= warm.cells.len(), "warm pass must hit every cell");
 
-    // --- store: content-addressed layout + loopback protocol ----------
+    // --- store: content-addressed layout -----------------------------
     // The warm store the grid just built is a realistic population:
     // measure what content addressing bought (dedup across cells, frame
-    // compression) and what the wire protocol costs on loopback.
-    eprintln!("probing trace store (dedup, compression, loopback RTT) ...");
+    // compression).
+    eprintln!("probing trace store (dedup, compression) ...");
     let store = cache.local_store().expect("perfstat cache is a local store");
     let (store_entries, store_objects, stored_bytes, logical_raw_bytes) = store.summary();
     // Unique-content totals: logical sums count a deduped object once
@@ -391,45 +390,6 @@ fn main() {
     let dedup_ratio = store_entries as f64 / store_objects.max(1) as f64;
     let store_compression = unique_raw_bytes as f64 / stored_bytes.max(1) as f64;
     let stored_bytes_per_uop = stored_bytes as f64 / unique_uops.max(1) as f64;
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("loopback addr").to_string();
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let probe_key = store
-        .manifests()
-        .first()
-        .map(|(_, s, _, _)| s.key.clone())
-        .expect("warm store is non-empty");
-    let (loopback_rtt_us, loopback_get_mbps, server_stats) = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&listener, store, &stop));
-        let remote = RemoteStore::connect(&addr).expect("connect to loopback server");
-        // RTT: a STAT is the smallest useful request (one manifest in
-        // each direction); best-of mean over batches rides out scheduler
-        // noise the same way `mops` does.
-        const RTT_BATCH: u32 = 100;
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for _ in 0..RTT_BATCH {
-                assert!(remote.stat(&probe_key).is_some(), "loopback stat hit");
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        let rtt_us = best * 1e6 / f64::from(RTT_BATCH);
-        // GET throughput: full verified body transfers over loopback.
-        let mut moved = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let (side, raw) = remote.get(&probe_key).expect("loopback get hit");
-            assert_eq!(raw.len() as u64, side.trace_bytes);
-            moved += side.trace_bytes;
-        }
-        let get_mbps = moved as f64 / t0.elapsed().as_secs_f64() / 1e6;
-        let stats = remote.list().expect("loopback LIST");
-        stop.store(true, std::sync::atomic::Ordering::Release);
-        server.join().expect("server thread").expect("server exits cleanly");
-        (rtt_us, get_mbps, stats)
-    });
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     // Content-ID hashing: every store read and publish pays one SHA-256
@@ -540,10 +500,6 @@ fn main() {
                 ("dedup_ratio", Json::Num(dedup_ratio)),
                 ("compression_ratio", Json::Num(store_compression)),
                 ("stored_bytes_per_uop", Json::Num(stored_bytes_per_uop)),
-                ("loopback_stat_rtt_us", Json::Num(loopback_rtt_us)),
-                ("loopback_get_mbps", Json::Num(loopback_get_mbps)),
-                ("server_hits", Json::UInt(server_stats.hits)),
-                ("server_bytes_read", Json::UInt(server_stats.bytes_read)),
                 ("sha256_backend", Json::Str(sha256_backend().into())),
                 ("sha256_mbps", Json::Num(sha256_mbps)),
             ]),
@@ -652,11 +608,6 @@ fn main() {
         "  {store_entries} entries -> {store_objects} objects ({dedup_ratio:.2}x dedup); \
          {stored_bytes} B stored for {unique_raw_bytes} B raw ({store_compression:.2}x, \
          {stored_bytes_per_uop:.2} B/µop)"
-    );
-    println!(
-        "  loopback: STAT rtt {loopback_rtt_us:.0} µs   GET {loopback_get_mbps:.1} MB/s \
-         ({} server hit(s))",
-        server_stats.hits
     );
     println!("  SHA-256 content IDs: {} backend, {sha256_mbps:.0} MB/s", sha256_backend());
     println!("== fig1 grid (jobs=1, quick={}) ==", cli.quick);

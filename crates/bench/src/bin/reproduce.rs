@@ -50,11 +50,7 @@ fn main() {
     eprintln!(
         "reproduce: {} mode, {jobs} worker(s), trace cache {}, sim cache {}",
         if quick { "quick" } else { "full" },
-        match (cache.remote_addr(), cache.dir()) {
-            (Some(addr), _) => format!("at tcp://{addr}"),
-            (None, Some(d)) => format!("at {}", d.display()),
-            (None, None) => "off".to_string(),
-        },
+        cache.dir().map_or("off".to_string(), |d| format!("at {}", d.display())),
         cache.sim_mode().label(),
     );
 
@@ -116,12 +112,9 @@ fn main() {
     );
     if cache.enabled() {
         println!(
-            "Trace cache ({}): {} hit(s) ({} local, {} remote), {} miss(es), \
+            "Trace cache: {} hit(s), {} miss(es), \
              {} store(s) ({} deduped); {} B read, {} B written ({} B raw).",
-            cache.backend_label(),
             s.hits,
-            s.local_hits,
-            s.remote_hits,
             s.misses,
             s.stores,
             s.dedup_stores,
@@ -129,9 +122,6 @@ fn main() {
             s.bytes_written,
             s.raw_bytes_written,
         );
-        if s.remote_errors > 0 {
-            eprintln!("Trace store: {} remote request(s) failed and degraded to a miss.", s.remote_errors);
-        }
         if cache.sim_mode() != checkelide_bench::SimCacheMode::Off {
             println!(
                 "Sim cache ({}): {} hit(s), {} miss(es), {} store(s), {} verify mismatch(es).",

@@ -5,7 +5,7 @@
 //! `CHECKELIDE_JOBS` handling; this module centralizes it. Parsing is
 //! deliberately tiny and dependency-free:
 //!
-//! * boolean flags: `--quick` (or anything via [`Cli::has`]);
+//! * boolean flags: `--quick`;
 //! * value flags: `--name V` or `--name=V` (see [`Cli::value_of`]);
 //! * `--jobs N` / `-j N` / `--jobs=N` / env `CHECKELIDE_JOBS`, delegated
 //!   to [`crate::pool::jobs_from_args`] so the two layers can never
@@ -31,7 +31,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--floor",
     "--floor-mult",
     "--store",
-    "--addr",
     "--max-store-bytes",
 ];
 
@@ -62,11 +61,6 @@ impl Cli {
     /// The raw arguments, for bin-specific handling.
     pub fn args(&self) -> &[String] {
         &self.args
-    }
-
-    /// Whether a boolean flag is present.
-    pub fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
     }
 
     /// The value of `--flag V` or `--flag=V`, if present.

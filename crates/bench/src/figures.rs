@@ -223,18 +223,10 @@ where
 pub struct TraceCacheMeta {
     /// Whether the cache was enabled for the run.
     pub enabled: bool,
-    /// Backend kind: `"off"`, `"local"`, or `"tcp"`.
-    pub backend: String,
-    /// Cache directory (empty when disabled or remote-only).
+    /// Cache directory (empty when disabled).
     pub dir: String,
-    /// Server address (empty unless the backend is `"tcp"`).
-    pub remote: String,
-    /// Cells served from recorded traces (local + remote).
+    /// Cells served from recorded traces.
     pub hits: u64,
-    /// Hits satisfied by the local store.
-    pub local_hits: u64,
-    /// Hits satisfied by a trace-store server.
-    pub remote_hits: u64,
     /// Cells executed live.
     pub misses: u64,
     /// Entries recorded to the store.
@@ -247,8 +239,6 @@ pub struct TraceCacheMeta {
     pub bytes_written: u64,
     /// Uncompressed trace bytes behind the writes.
     pub raw_bytes_written: u64,
-    /// Remote requests that failed and degraded to a miss.
-    pub remote_errors: u64,
     /// Sim-result cache mode: `"off"`, `"on"`, or `"verify"`.
     pub sim_mode: String,
     /// Timed cells served from memoized sim results.
@@ -267,19 +257,14 @@ impl TraceCacheMeta {
         let s = cache.stats();
         TraceCacheMeta {
             enabled: cache.enabled(),
-            backend: cache.backend_label().to_string(),
             dir: cache.dir().map(|d| d.display().to_string()).unwrap_or_default(),
-            remote: cache.remote_addr().unwrap_or_default().to_string(),
             hits: s.hits,
-            local_hits: s.local_hits,
-            remote_hits: s.remote_hits,
             misses: s.misses,
             stores: s.stores,
             dedup_stores: s.dedup_stores,
             bytes_read: s.bytes_read,
             bytes_written: s.bytes_written,
             raw_bytes_written: s.raw_bytes_written,
-            remote_errors: s.remote_errors,
             sim_mode: cache.sim_mode().label().to_string(),
             sim_hits: s.sim_hits,
             sim_misses: s.sim_misses,
@@ -294,19 +279,14 @@ impl ToJson for TraceCacheMeta {
         json_obj!(
             self,
             enabled,
-            backend,
             dir,
-            remote,
             hits,
-            local_hits,
-            remote_hits,
             misses,
             stores,
             dedup_stores,
             bytes_read,
             bytes_written,
             raw_bytes_written,
-            remote_errors,
             sim_mode,
             sim_hits,
             sim_misses,

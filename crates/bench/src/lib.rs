@@ -21,10 +21,8 @@
 //!   the trace body at all.
 //! * [`store`] — the content-addressed, sharded on-disk trace store
 //!   behind the cache (manifest index → SHA-256-addressed objects,
-//!   cross-key dedup, LZ compression, orphan sweep, `--gc`).
-//! * [`proto`] — the length-prefixed binary GET/PUT/STAT/LIST protocol,
-//!   the `tracestored` serve loop, and the [`proto::RemoteStore`] client
-//!   behind `--trace-cache tcp://host:port`.
+//!   cross-key dedup, LZ compression, orphan sweep, and the gc pass the
+//!   `tracegc` binary runs).
 //! * [`json`] — dependency-free, byte-deterministic JSON output for
 //!   `results/*.json` and the per-run `results/run_meta.json` metadata.
 //! * [`cli`] — the shared `--quick` / `--jobs` / value-flag / positional
@@ -34,7 +32,6 @@ pub mod cli;
 pub mod figures;
 pub mod json;
 pub mod pool;
-pub mod proto;
 pub mod runner;
 pub mod simcache;
 pub mod store;
@@ -49,6 +46,6 @@ pub use runner::{
     RunError, RunOutput, SimTelemetry,
 };
 pub use simcache::{sim_config, sim_energy, sim_fingerprint, SimCacheMode, SIM_CACHE_ENV};
-pub use store::{GcStats, Sidecar, StoreStats, TraceStore};
+pub use store::{GcStats, Sidecar, TraceStore};
 pub use suite::{find, selected, Benchmark, Suite, BENCHMARKS};
 pub use tracecache::{TraceCache, TraceCacheStats, TRACE_CACHE_ENV};

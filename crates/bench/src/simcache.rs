@@ -26,9 +26,8 @@
 //! * `off` — always simulate live, never read or write sim objects.
 //!
 //! Resolution order: the `--sim-cache` flag, then [`SIM_CACHE_ENV`], then
-//! `on`. The cache is backend-agnostic: sim objects live next to trace
-//! manifests in the local store and travel over the `tracestored`
-//! protocol, degrading tcp → local → live-simulate.
+//! `on`. Sim objects live next to trace manifests in the local store; a
+//! missing or corrupt one degrades to a live simulation.
 //!
 //! [`CoreSim`]: checkelide_uarch::CoreSim
 

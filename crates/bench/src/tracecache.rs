@@ -11,17 +11,12 @@
 //! body at all and a timed hit replays it through a fresh `CoreSim`
 //! instead of re-running the engine.
 //!
-//! Since the content-addressed store rework, `TraceCache` is a thin
-//! front-end over one of three backends:
-//!
-//! * **Off** — lookups never hit, nothing is recorded.
-//! * **Local** — a [`crate::store::TraceStore`] directory (manifest index
-//!   → SHA-256-addressed, deduplicated, LZ-compressed objects).
-//! * **Remote** — a [`crate::proto::RemoteStore`] client speaking the
-//!   `tracestored` protocol, so N processes share one warm store. Remote
-//!   failures degrade: an unreachable server at resolve time falls back
-//!   to the local directory, and a mid-run failure is just a miss (live
-//!   execution) — a cache problem is never a run failure.
+//! `TraceCache` is either off (lookups never hit, nothing is recorded)
+//! or a thin front-end over a local [`crate::store::TraceStore`]
+//! directory (manifest index → SHA-256-addressed, deduplicated,
+//! LZ-compressed objects). A store that cannot be opened disables the
+//! cache with a warning, and a failed read or write is just a miss (live
+//! execution) — a cache problem is never a run failure.
 //!
 //! # Key schema
 //!
@@ -38,7 +33,7 @@
 //! The engine salt is [`checkelide_engine::trace_salt`] (crate version +
 //! manually-bumped `TRACE_SCHEMA_REV`), so any harness change that alters
 //! µop emission invalidates every entry at once ([`current_key_suffix`]
-//! is what `tracestored --gc` keeps). `RunConfig::timing` is deliberately
+//! is what `tracegc` keeps). `RunConfig::timing` is deliberately
 //! **not** part of the key: the timing model is a pure consumer of the
 //! trace, so a trace recorded by an untimed characterization run can be
 //! replayed through `CoreSim` for a timed one and vice versa — this is
@@ -51,13 +46,13 @@
 //!
 //! # Activation
 //!
-//! Resolution order: the `--trace-cache DIR|tcp://HOST:PORT|off` flag,
-//! then the `CHECKELIDE_TRACE_CACHE` environment variable (`off`/`0`/
-//! `none` disables), then the binary's default (`reproduce` defaults to
+//! Resolution order: the `--trace-cache DIR|off` flag, then the
+//! `CHECKELIDE_TRACE_CACHE` environment variable (`off`/`0`/`none`
+//! disables), then the binary's default (`reproduce` defaults to
 //! `target/trace-cache`; standalone figure binaries default off so a
 //! single-figure run never pays recording overhead unasked). Object
-//! compression is on unless `CHECKELIDE_TRACE_COMPRESS` (or
-//! `--trace-compress`) says `off`.
+//! compression is on unless `--trace-compress` (or
+//! `CHECKELIDE_TRACE_COMPRESS`) says `off`.
 //!
 //! All statistics are atomics: one `TraceCache` is shared by reference
 //! across the [`crate::pool`] workers.
@@ -66,7 +61,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cli::Cli;
-use crate::proto::RemoteStore;
 use crate::runner::RunConfig;
 use crate::simcache::{sim_fingerprint, SimCacheMode};
 use crate::store::{cid_hex, fnv1a64, sha256, ObjectImage, ObjectWriter, Sidecar, TraceStore};
@@ -74,30 +68,24 @@ use crate::suite::find;
 use checkelide_engine::Mechanism;
 use checkelide_uarch::{SimObject, SimResult, SIM_OBJECT_LEN};
 
-/// Environment variable selecting the cache backend: a directory,
-/// `tcp://host:port`, or `off`/`0`/`none` to disable.
+/// Environment variable selecting the store directory, or
+/// `off`/`0`/`none` to disable.
 pub const TRACE_CACHE_ENV: &str = "CHECKELIDE_TRACE_CACHE";
 
 /// Environment variable disabling object compression (`off`/`0`/`none`).
 pub const TRACE_COMPRESS_ENV: &str = "CHECKELIDE_TRACE_COMPRESS";
 
-/// Default cache directory for binaries that enable the cache by default
-/// (and the fallback when a `tcp://` server is unreachable).
+/// Default cache directory for binaries that enable the cache by default.
 pub const DEFAULT_TRACE_CACHE_DIR: &str = "target/trace-cache";
 
-/// Snapshot of cache activity counters (the *client* view; the store and
-/// server keep their own).
+/// Snapshot of cache activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
-    /// Entries served without engine execution (local + remote).
+    /// Entries served without engine execution.
     pub hits: u64,
-    /// Hits served by the local store backend.
-    pub local_hits: u64,
-    /// Hits served over the protocol.
-    pub remote_hits: u64,
     /// Lookups that had to execute the engine.
     pub misses: u64,
-    /// Entries recorded (local puts + accepted remote puts).
+    /// Entries recorded.
     pub stores: u64,
     /// Recorded entries whose trace body already existed (cross-key
     /// dedup).
@@ -110,13 +98,11 @@ pub struct TraceCacheStats {
     /// Raw (pre-compression) trace bytes recorded; with `bytes_written`
     /// this yields the effective compression+dedup ratio.
     pub raw_bytes_written: u64,
-    /// Failed remote requests (each degrades to a miss).
-    pub remote_errors: u64,
     /// Timed cells served from a memoized sim result (no trace decode,
     /// no `CoreSim`).
     pub sim_hits: u64,
     /// Timed cells that had to run `CoreSim` while the sim cache wanted a
-    /// hit (cold key, evicted object, or remote failure).
+    /// hit (cold key or evicted object).
     pub sim_misses: u64,
     /// Sim results published.
     pub sim_stores: u64,
@@ -125,21 +111,13 @@ pub struct TraceCacheStats {
     pub sim_verify_mismatches: u64,
 }
 
-#[derive(Debug)]
-enum Backend {
-    Off,
-    Local(TraceStore),
-    Remote(RemoteStore),
-}
-
 /// The trace cache. Thread-safe: share by reference across pool workers.
 #[derive(Debug)]
 pub struct TraceCache {
-    backend: Backend,
-    compress: bool,
+    /// The backing store; `None` when the cache is off.
+    store: Option<TraceStore>,
     sim_mode: SimCacheMode,
-    local_hits: AtomicU64,
-    remote_hits: AtomicU64,
+    hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
     dedup_stores: AtomicU64,
@@ -156,19 +134,20 @@ fn is_off(spec: &str) -> bool {
     matches!(spec, "off" | "0" | "none" | "")
 }
 
-fn compress_default() -> bool {
-    !matches!(std::env::var(TRACE_COMPRESS_ENV).ok().as_deref(), Some(v) if is_off(v))
+/// Whether new objects are compressed: the `--trace-compress` value when
+/// given, else [`TRACE_COMPRESS_ENV`], else on.
+fn compress_setting(flag: Option<&str>) -> bool {
+    let spec = flag.map(str::to_string).or_else(|| std::env::var(TRACE_COMPRESS_ENV).ok());
+    !spec.as_deref().is_some_and(is_off)
 }
 
 impl TraceCache {
-    fn with_backend(backend: Backend, compress: bool) -> TraceCache {
+    fn with_store(store: Option<TraceStore>) -> TraceCache {
         TraceCache {
-            backend,
-            compress,
+            store,
             // The env-var default; `from_cli` overrides from `--sim-cache`.
             sim_mode: SimCacheMode::resolve(None),
-            local_hits: AtomicU64::new(0),
-            remote_hits: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             dedup_stores: AtomicU64::new(0),
@@ -190,13 +169,14 @@ impl TraceCache {
     }
 
     /// The effective sim-cache mode: the configured mode, except that a
-    /// disabled backend forces `Off` (there is nowhere to read or write
+    /// disabled cache forces `Off` (there is nowhere to read or write
     /// sim objects).
     #[must_use]
     pub fn sim_mode(&self) -> SimCacheMode {
-        match self.backend {
-            Backend::Off => SimCacheMode::Off,
-            _ => self.sim_mode,
+        if self.enabled() {
+            self.sim_mode
+        } else {
+            SimCacheMode::Off
         }
     }
 
@@ -204,149 +184,91 @@ impl TraceCache {
     /// [`crate::runner::CacheDisposition::Off`]).
     #[must_use]
     pub fn disabled() -> TraceCache {
-        TraceCache::with_backend(Backend::Off, false)
+        TraceCache::with_store(None)
     }
 
     /// A cache over a local store rooted at `dir` (created if missing;
     /// falls back to disabled with a warning when the directory cannot be
-    /// created).
+    /// created). Objects are compressed unless [`TRACE_COMPRESS_ENV`]
+    /// says `off`.
     pub fn at(dir: impl AsRef<Path>) -> TraceCache {
-        let compress = compress_default();
-        match TraceStore::open(dir.as_ref(), compress) {
-            Ok(store) => TraceCache::with_backend(Backend::Local(store), compress),
+        TraceCache::open(dir.as_ref(), compress_setting(None))
+    }
+
+    fn open(dir: &Path, compress: bool) -> TraceCache {
+        match TraceStore::open(dir, compress) {
+            Ok(store) => TraceCache::with_store(Some(store)),
             Err(e) => {
                 eprintln!(
                     "warning: trace cache disabled: cannot open store at {}: {e}",
-                    dir.as_ref().display()
+                    dir.display()
                 );
                 TraceCache::disabled()
             }
         }
     }
 
-    /// A cache speaking the `tracestored` protocol at `addr`
-    /// (`host:port`). Falls back to the local store at `fallback_dir`
-    /// with a warning when the server is unreachable.
-    pub fn remote_or(addr: &str, fallback_dir: &str) -> TraceCache {
-        match RemoteStore::connect(addr) {
-            Ok(remote) => {
-                TraceCache::with_backend(Backend::Remote(remote), compress_default())
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: trace store server {addr} unreachable ({e}); \
-                     falling back to local store at {fallback_dir}"
-                );
-                TraceCache::at(fallback_dir)
-            }
-        }
-    }
-
-    /// Resolve a cache spec: `off`/`0`/`none`/empty disables,
-    /// `tcp://HOST:PORT` selects the protocol client (falling back to
-    /// `fallback_dir` when unreachable), anything else is a local store
-    /// directory.
-    #[must_use]
-    pub fn resolve_spec(
-        spec: Option<&str>,
-        default_on: bool,
-        fallback_dir: &str,
-    ) -> TraceCache {
-        match spec {
+    /// Resolve from an explicit `--trace-cache` value, the
+    /// [`TRACE_CACHE_ENV`] variable, or the binary's default:
+    /// `off`/`0`/`none`/empty disables, anything else is a store
+    /// directory. A spec naming the removed TCP trace-store service is
+    /// treated like an unopenable store: it warns and disables the cache.
+    fn resolve(flag: Option<&str>, default_on: bool, compress: bool) -> TraceCache {
+        let spec =
+            flag.map(str::to_string).or_else(|| std::env::var(TRACE_CACHE_ENV).ok());
+        match spec.as_deref() {
             Some(s) if is_off(s) => TraceCache::disabled(),
-            Some(s) => match s.strip_prefix("tcp://") {
-                Some(addr) => TraceCache::remote_or(addr, fallback_dir),
-                None => TraceCache::at(s),
-            },
-            None if default_on => TraceCache::at(fallback_dir),
+            Some(s) if s.starts_with("tcp://") => {
+                eprintln!(
+                    "warning: trace cache disabled: {s}: the tcp:// trace store service \
+                     was removed; pass a store directory instead"
+                );
+                TraceCache::disabled()
+            }
+            Some(s) => TraceCache::open(Path::new(s), compress),
+            None if default_on => TraceCache::open(Path::new(DEFAULT_TRACE_CACHE_DIR), compress),
             None => TraceCache::disabled(),
         }
     }
 
-    /// Resolve from an explicit `--trace-cache` value, the
-    /// [`TRACE_CACHE_ENV`] variable, or the binary's default.
-    #[must_use]
-    pub fn resolve(flag: Option<&str>, default_on: bool) -> TraceCache {
-        let spec =
-            flag.map(str::to_string).or_else(|| std::env::var(TRACE_CACHE_ENV).ok());
-        TraceCache::resolve_spec(spec.as_deref(), default_on, DEFAULT_TRACE_CACHE_DIR)
-    }
-
     /// Resolve from a parsed [`Cli`]
-    /// (`--trace-cache DIR|tcp://HOST:PORT|off`, `--trace-compress off`).
+    /// (`--trace-cache DIR|off`, `--trace-compress off`, `--sim-cache`).
     #[must_use]
     pub fn from_cli(cli: &Cli, default_on: bool) -> TraceCache {
-        if let Some(v) = cli.value_of("--trace-compress") {
-            // The env var is how the flag reaches TraceStore::open; the
-            // figure binaries are single-threaded at this point.
-            std::env::set_var(TRACE_COMPRESS_ENV, v);
-        }
-        TraceCache::resolve(cli.value_of("--trace-cache"), default_on)
+        let compress = compress_setting(cli.value_of("--trace-compress"));
+        TraceCache::resolve(cli.value_of("--trace-cache"), default_on, compress)
             .with_sim_mode(SimCacheMode::resolve(cli.value_of("--sim-cache")))
     }
 
     /// Whether lookups can ever hit.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        !matches!(self.backend, Backend::Off)
+        self.store.is_some()
     }
 
-    /// Stable label of the active backend (`off` / `local` / `tcp`).
-    #[must_use]
-    pub fn backend_label(&self) -> &'static str {
-        match self.backend {
-            Backend::Off => "off",
-            Backend::Local(_) => "local",
-            Backend::Remote(_) => "tcp",
-        }
-    }
-
-    /// The local store directory, when the local backend is active.
+    /// The local store directory, when the cache is enabled.
     #[must_use]
     pub fn dir(&self) -> Option<&Path> {
-        match &self.backend {
-            Backend::Local(store) => Some(store.root()),
-            _ => None,
-        }
+        self.store.as_ref().map(TraceStore::root)
     }
 
-    /// The server address, when the remote backend is active.
-    #[must_use]
-    pub fn remote_addr(&self) -> Option<&str> {
-        match &self.backend {
-            Backend::Remote(remote) => Some(remote.addr()),
-            _ => None,
-        }
-    }
-
-    /// The underlying local store, when the local backend is active.
+    /// The underlying local store, when the cache is enabled.
     #[must_use]
     pub fn local_store(&self) -> Option<&TraceStore> {
-        match &self.backend {
-            Backend::Local(store) => Some(store),
-            _ => None,
-        }
+        self.store.as_ref()
     }
 
     /// Current activity counters.
     #[must_use]
     pub fn stats(&self) -> TraceCacheStats {
-        let local_hits = self.local_hits.load(Ordering::Relaxed);
-        let remote_hits = self.remote_hits.load(Ordering::Relaxed);
         TraceCacheStats {
-            hits: local_hits + remote_hits,
-            local_hits,
-            remote_hits,
+            hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
             dedup_stores: self.dedup_stores.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             raw_bytes_written: self.raw_bytes_written.load(Ordering::Relaxed),
-            remote_errors: match &self.backend {
-                Backend::Remote(remote) => remote.errors(),
-                _ => 0,
-            },
             sim_hits: self.sim_hits.load(Ordering::Relaxed),
             sim_misses: self.sim_misses.load(Ordering::Relaxed),
             sim_stores: self.sim_stores.load(Ordering::Relaxed),
@@ -374,11 +296,7 @@ impl TraceCache {
     /// config fingerprint. Counts a hit on success; the caller counts the
     /// miss when (and only when) it actually simulates.
     pub(crate) fn sim_fetch(&self, cid: &[u8; 32]) -> Option<SimObject> {
-        let obj = match &self.backend {
-            Backend::Off => return None,
-            Backend::Local(store) => store.sim_get(cid, sim_fingerprint()),
-            Backend::Remote(remote) => remote.sim_get(cid, sim_fingerprint()),
-        }?;
+        let obj = self.store.as_ref()?.sim_get(cid, sim_fingerprint())?;
         self.sim_hits.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(SIM_OBJECT_LEN as u64, Ordering::Relaxed);
         Some(obj)
@@ -388,30 +306,17 @@ impl TraceCache {
     /// cache is off; failures warn and return (a cache problem is never a
     /// run failure).
     pub(crate) fn sim_publish(&self, cid: &[u8; 32], result: &SimResult) {
-        if self.sim_mode() == SimCacheMode::Off {
+        let Some(store) = &self.store else { return };
+        if self.sim_mode == SimCacheMode::Off {
             return;
         }
         let obj = SimObject::new(*cid, sim_fingerprint(), result.clone());
-        let stored = match &self.backend {
-            Backend::Off => return,
-            Backend::Local(store) => match store.sim_put(&obj) {
-                Ok(()) => true,
-                Err(e) => {
-                    eprintln!("warning: sim cache store failed: {e}");
-                    false
-                }
-            },
-            Backend::Remote(remote) => {
-                let ok = remote.sim_put(&obj);
-                if !ok {
-                    eprintln!("warning: trace store server rejected sim result");
-                }
-                ok
+        match store.sim_put(&obj) {
+            Ok(()) => {
+                self.sim_stores.fetch_add(1, Ordering::Relaxed);
+                self.bytes_written.fetch_add(SIM_OBJECT_LEN as u64, Ordering::Relaxed);
             }
-        };
-        if stored {
-            self.sim_stores.fetch_add(1, Ordering::Relaxed);
-            self.bytes_written.fetch_add(SIM_OBJECT_LEN as u64, Ordering::Relaxed);
+            Err(e) => eprintln!("warning: sim cache store failed: {e}"),
         }
     }
 
@@ -426,50 +331,34 @@ impl TraceCache {
     }
 
     /// Look up an entry. `need_trace` controls whether the trace body is
-    /// fetched (timed replay) or only the manifest (untimed hit). Any
-    /// failure — absence, corruption, network — is a `None` miss; the
-    /// caller records live. Returns the sidecar, the raw trace bytes when
+    /// read (timed replay) or only the manifest (untimed hit). Any
+    /// failure — absence or corruption — is a `None` miss; the caller
+    /// records live. Returns the sidecar, the raw trace bytes when
     /// requested, and the cache bytes this lookup read.
     pub(crate) fn fetch(
         &self,
         entry: &CacheEntry,
         need_trace: bool,
     ) -> Option<(Sidecar, Option<Vec<u8>>, u64)> {
-        let (side, raw, counter) = match &self.backend {
-            Backend::Off => return None,
-            Backend::Local(store) => {
-                if need_trace {
-                    let (side, raw) = store.get(&entry.key)?;
-                    (side, Some(raw), &self.local_hits)
-                } else {
-                    (store.stat(&entry.key)?, None, &self.local_hits)
-                }
-            }
-            Backend::Remote(remote) => {
-                if need_trace {
-                    let (side, raw) = remote.get(&entry.key)?;
-                    (side, Some(raw), &self.remote_hits)
-                } else {
-                    (remote.stat(&entry.key)?, None, &self.remote_hits)
-                }
-            }
+        let store = self.store.as_ref()?;
+        let (side, raw) = if need_trace {
+            let (side, raw) = store.get(&entry.key)?;
+            (side, Some(raw))
+        } else {
+            (store.stat(&entry.key)?, None)
         };
         let bytes_read =
             side.encode().len() as u64 + raw.as_ref().map_or(0, |r| r.len() as u64);
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
         Some((side, raw, bytes_read))
     }
 
-    /// Re-fetch the trace body for an entry whose manifest was already
+    /// Re-read the trace body for an entry whose manifest was already
     /// served this cell (the sim-verify and sim-miss paths probe
-    /// manifest-only first). Does not count a second client-level hit.
+    /// manifest-only first). Does not count a second hit.
     pub(crate) fn refetch_body(&self, entry: &CacheEntry) -> Option<Vec<u8>> {
-        let raw = match &self.backend {
-            Backend::Off => return None,
-            Backend::Local(store) => store.get(&entry.key).map(|(_, raw)| raw),
-            Backend::Remote(remote) => remote.get(&entry.key).map(|(_, raw)| raw),
-        }?;
+        let (_, raw) = self.store.as_ref()?.get(&entry.key)?;
         self.bytes_read.fetch_add(raw.len() as u64, Ordering::Relaxed);
         Some(raw)
     }
@@ -478,61 +367,36 @@ impl TraceCache {
     /// (LZ-compressed unless compression is off); its finished image is
     /// what [`TraceCache::publish`] takes.
     pub(crate) fn object_writer(&self) -> ObjectWriter {
-        ObjectWriter::new(self.compress)
+        ObjectWriter::new(self.store.as_ref().is_some_and(TraceStore::compress))
     }
 
     /// Publish a recording's finished object image. Fills `side`'s
-    /// store-location fields, writes through the active backend, and
-    /// counts the store. Failures warn and return; a cache problem is
-    /// never a run failure.
+    /// store-location fields, writes it to the store, and counts the
+    /// store. Failures warn and return; a cache problem is never a run
+    /// failure.
     pub(crate) fn publish(&self, entry: &CacheEntry, side: &mut Sidecar, image: &ObjectImage) {
+        let Some(store) = &self.store else { return };
         side.key = entry.key.clone();
         image.locate(side);
-        let written = match &self.backend {
-            Backend::Off => return,
-            Backend::Local(store) => match store.put_prepared(side, &image.bytes) {
-                Ok(outcome) => Some((outcome.deduped, outcome.stored_bytes)),
-                Err(e) => {
-                    eprintln!("warning: trace cache store for {} failed: {e}", entry.key);
-                    None
+        match store.put_prepared(side, &image.bytes) {
+            Ok(outcome) => {
+                self.stores.fetch_add(1, Ordering::Relaxed);
+                if outcome.deduped {
+                    self.dedup_stores.fetch_add(1, Ordering::Relaxed);
                 }
-            },
-            Backend::Remote(remote) => {
-                if remote.put(side, &image.bytes) {
-                    Some((false, image.bytes.len() as u64))
-                } else {
-                    eprintln!(
-                        "warning: trace store server rejected recording for {}",
-                        entry.key
-                    );
-                    None
-                }
+                let body = if outcome.deduped { 0 } else { outcome.stored_bytes };
+                self.raw_bytes_written.fetch_add(image.raw_len, Ordering::Relaxed);
+                self.bytes_written
+                    .fetch_add(side.encode().len() as u64 + body, Ordering::Relaxed);
             }
-        };
-        if let Some((deduped, stored_bytes)) = written {
-            self.note_store(
-                deduped,
-                image.raw_len,
-                side.encode().len() as u64 + if deduped { 0 } else { stored_bytes },
-            );
+            Err(e) => eprintln!("warning: trace cache store for {} failed: {e}", entry.key),
         }
-    }
-
-    fn note_store(&self, deduped: bool, raw_bytes: u64, bytes_written: u64) {
-        self.stores.fetch_add(1, Ordering::Relaxed);
-        if deduped {
-            self.dedup_stores.fetch_add(1, Ordering::Relaxed);
-        }
-        self.raw_bytes_written.fetch_add(raw_bytes, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes_written, Ordering::Relaxed);
     }
 
     /// Drop an entry (replay-time corruption the store's own hash checks
     /// did not catch, i.e. a hash-valid but codec-invalid recording).
-    /// Remote entries are left to the server's own validation; the
-    /// re-recorded PUT overwrites the manifest.
     pub(crate) fn evict(&self, entry: &CacheEntry) {
-        if let Backend::Local(store) = &self.backend {
+        if let Some(store) = &self.store {
             store.evict_entry(&entry.key, None);
         }
     }
@@ -572,8 +436,8 @@ fn key_for_source(bench: &str, source: &str, scale: i32, cfg: &RunConfig) -> Str
 }
 
 /// The schema-salt suffix every *current* key ends with
-/// (`|e<salt>|c<codec version>`). `tracestored --gc` drops entries whose
-/// stored key carries any other suffix.
+/// (`|e<salt>|c<codec version>`). `tracegc` drops entries whose stored
+/// key carries any other suffix.
 #[must_use]
 pub fn current_key_suffix() -> String {
     format!(
@@ -655,31 +519,45 @@ mod tests {
     fn disabled_cache_has_no_entries() {
         let c = TraceCache::disabled();
         assert!(!c.enabled());
-        assert_eq!(c.backend_label(), "off");
+        assert_eq!(c.sim_mode(), SimCacheMode::Off);
         assert!(c.entry("ai-astar", 4, &RunConfig::characterize()).is_none());
     }
 
     #[test]
     fn resolve_honors_off_spellings() {
         for s in ["off", "0", "none", ""] {
-            assert!(!TraceCache::resolve(Some(s), true).enabled());
+            assert!(!TraceCache::resolve(Some(s), true, true).enabled());
         }
     }
 
     #[test]
-    fn unreachable_server_falls_back_to_local_store() {
+    fn stale_tcp_spec_disables_the_cache_without_creating_a_directory() {
+        let cache = TraceCache::resolve(Some("tcp://127.0.0.1:1"), true, true);
+        assert!(!cache.enabled(), "a tcp:// spec must not open a store");
+        assert!(!Path::new("tcp:").exists(), "a tcp:// spec must not become a directory");
+    }
+
+    fn cli(args: &[&str]) -> Cli {
+        Cli::from_args(args.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn trace_compress_flag_reaches_the_store_without_the_environment() {
         let dir = std::env::temp_dir()
-            .join(format!("checkelide-fallback-{}", std::process::id()));
+            .join(format!("checkelide-compress-flag-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Port 1 on loopback: reserved, nothing listens there.
-        let cache = TraceCache::resolve_spec(
-            Some("tcp://127.0.0.1:1"),
-            true,
-            dir.to_str().expect("utf-8 temp dir"),
+        let env_before = std::env::var_os(TRACE_COMPRESS_ENV);
+        let spec = dir.to_str().expect("utf-8 temp dir");
+        let cache =
+            TraceCache::from_cli(&cli(&["--trace-cache", spec, "--trace-compress", "off"]), false);
+        let store = cache.local_store().expect("store opens");
+        assert_eq!(store.root(), dir.as_path());
+        assert!(!store.compress(), "--trace-compress off must reach the store");
+        assert_eq!(
+            std::env::var_os(TRACE_COMPRESS_ENV),
+            env_before,
+            "the flag must not be passed through the process environment"
         );
-        assert!(cache.enabled(), "fallback must keep the cache usable");
-        assert_eq!(cache.backend_label(), "local");
-        assert_eq!(cache.dir(), Some(dir.as_path()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

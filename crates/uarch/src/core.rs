@@ -28,10 +28,9 @@
 //! predictor) depends only on its own access sequence — never on timing —
 //! and the per-structure sequences are preserved (the shared L2 merges
 //! instruction- and data-side fills back into µop order). The scalar path
-//! stays as the differential reference: `tests/batch_equiv.rs` and
-//! `tests/equiv_proptests.rs` pin full `SimResult` equality, and setting
-//! `CHECKELIDE_SCALAR_SIM` forces the scalar walk at run time so whole
-//! figure pipelines can be diffed against it.
+//! stays as the differential reference behind [`TraceSink::emit`]:
+//! `tests/batch_equiv.rs` and `tests/equiv_proptests.rs` pin full
+//! `SimResult` equality.
 
 use crate::caches::{BranchPredictor, Cache, CacheStats, Tlb};
 use crate::config::CoreConfig;
@@ -265,7 +264,6 @@ pub struct CoreSim {
     window_wait: u64,
     mem_wait: u64,
     batch: BatchScratch,
-    dbg_scalar: bool,
 }
 
 impl CoreSim {
@@ -313,7 +311,6 @@ impl CoreSim {
             window_wait: 0,
             mem_wait: 0,
             batch: BatchScratch::default(),
-            dbg_scalar: std::env::var_os("CHECKELIDE_SCALAR_SIM").is_some(),
         }
     }
 
@@ -904,15 +901,8 @@ impl TraceSink for CoreSim {
     }
 
     /// Run the structure-of-arrays walk over the slice (in ≤256-µop
-    /// chunks, so the scratch arrays stay L1-resident). Falls back to the
-    /// scalar walk when `CHECKELIDE_SCALAR_SIM` is set.
+    /// chunks, so the scratch arrays stay L1-resident).
     fn emit_batch(&mut self, uops: &[Uop]) {
-        if self.dbg_scalar {
-            for u in uops {
-                self.emit_one(u);
-            }
-            return;
-        }
         for chunk in uops.chunks(BATCH_CAPACITY) {
             self.emit_batch_chunk(chunk);
         }
