@@ -3,6 +3,12 @@
 //! style memory-hierarchy analysis of one benchmark.
 //!
 //!     fig8 [--quick] [--jobs N] [--detail <benchmark>] [--trace-cache DIR|off]
+//!          [--sim-cache on|off|verify]
+//!
+//! Cache activity and per-cell hit/miss dispositions are saved to
+//! `results/run_meta.json`.
+
+use checkelide_bench::figures::RunMeta;
 
 fn main() {
     let cli = checkelide_bench::Cli::parse();
@@ -22,9 +28,15 @@ fn main() {
         return;
     }
     let cache = checkelide_bench::TraceCache::from_cli(&cli, false);
+    let start = std::time::Instant::now();
     let report = checkelide_bench::figures::fig89_report_cached(quick, cli.jobs, &cache);
     print!("{}", checkelide_bench::figures::render_fig89(&report.rows));
     checkelide_bench::figures::save_json("fig8_fig9", &report.rows).expect("write results");
+    let mut meta = RunMeta::new(cli.jobs, quick);
+    meta.absorb(&report);
+    meta.total_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    meta.set_trace_cache(&cache);
+    meta.save().expect("write results/run_meta.json");
     eprintln!("saved results/fig8_fig9.json");
     if !report.failures.is_empty() {
         eprint!("{}", checkelide_bench::figures::render_failures(&report.failures));

@@ -16,7 +16,9 @@
 //! * **codec** — the binary trace codec: encode throughput, the on-disk
 //!   size per µop (vs the 48-byte in-memory form), and streaming-replay
 //!   throughput into a [`NullSink`] (framing-only fast path) and a
-//!   [`CounterSink`] (full decode).
+//!   [`CounterSink`] (full decode); report-only, the streamed recorder
+//!   (`trace_record_mops`) and the streamed reader of a stored object
+//!   (`trace_read_mops`: file blocks, LZ, SHA-256 and decode).
 //! * **cell** — wall-clock and retired-µop count for one full
 //!   characterization cell (setup + warm-ups + measured iteration), i.e.
 //!   the end-to-end cost per dynamic instruction of the whole stack.
@@ -54,7 +56,7 @@ use checkelide_bench::figures::{
     fig1_report, fig1_report_cached, fig89_report_cached, save_json, BBV_CONFIGS,
 };
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
-use checkelide_bench::store::{sha256, sha256_backend, ObjectWriter};
+use checkelide_bench::store::{sha256, sha256_backend, ObjectWriter, Sidecar, TraceStore};
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
 use checkelide_engine::{EngineConfig, Mechanism, Vm};
 use checkelide_isa::codec::{encode_trace, TraceReader, TraceWriter};
@@ -281,6 +283,24 @@ fn main() {
     let lz_compress_mbps = mops(encoded.len(), reps, || {
         std::hint::black_box(lz::compress(std::hint::black_box(&encoded)));
     });
+    // The reader a timed hit runs: the stored object read back from disk
+    // in blocks, decompressed, hashed and decoded in one stream.
+    let read_dir = std::env::temp_dir()
+        .join(format!("checkelide-perfstat-read-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&read_dir);
+    let read_store = TraceStore::open(&read_dir, true).expect("temp store");
+    let mut side = Sidecar::default();
+    read_store.put("perfstat-read", &mut side, &encoded).expect("object stored");
+    let trace_read_mops = mops(trace.len(), reps, || {
+        let mut body = read_store.open_body(&side).expect("object opens");
+        let mut sink = CounterSink::new();
+        let n = TraceReader::new(&mut body)
+            .and_then(|mut rd| rd.replay(std::hint::black_box(&mut sink)))
+            .expect("replay");
+        body.finish(&side.cid).expect("object verifies");
+        assert_eq!(n, trace.len() as u64);
+    });
+    let _ = std::fs::remove_dir_all(&read_dir);
     let trace_len = trace.len();
     let encoded_len = encoded.len();
     drop(encoded);
@@ -475,6 +495,7 @@ fn main() {
                 ("trace_replay_null_mops", Json::Num(trace_replay_null_mops)),
                 ("trace_replay_counter_mops", Json::Num(trace_replay_counter_mops)),
                 ("trace_record_mops", Json::Num(trace_record_mops)),
+                ("trace_read_mops", Json::Num(trace_read_mops)),
                 ("lz_compress_mbps", Json::Num(lz_compress_mbps)),
             ]),
         ),
@@ -569,6 +590,9 @@ fn main() {
     println!(
         "  record (encode + SHA-256 + LZ, streamed) {trace_record_mops:8.1} Mµops/s   \
          lz::compress {lz_compress_mbps:.0} MB/s"
+    );
+    println!(
+        "  read (object file -> LZ + SHA-256 + decode, streamed) {trace_read_mops:8.1} Mµops/s"
     );
     println!("== end-to-end cell ({bench}) ==");
     println!(

@@ -8,10 +8,10 @@
 use crate::simcache::{sim_config, sim_fingerprint, SimCacheMode};
 use crate::store::{cid_hex, Sidecar, COMPRESS_NONE};
 use crate::suite::Benchmark;
-use crate::tracecache::{CacheEntry, TraceCache};
+use crate::tracecache::TraceCache;
 use checkelide_core::{loadstats::Fig3Row, ClassCacheConfig, ClassCacheStats};
 use checkelide_engine::{EngineConfig, Mechanism, Vm, VmStats};
-use checkelide_isa::codec::{TraceError, TraceReader, TraceWriter};
+use checkelide_isa::codec::{TraceError, TraceWriter};
 use checkelide_isa::trace::Tee;
 use checkelide_isa::{CounterSink, NullSink, TraceSink};
 use checkelide_opt::install_optimizer;
@@ -293,6 +293,11 @@ impl SimTelemetry {
 /// additionally re-simulates and asserts the memoized result is
 /// bit-identical to the live one.
 ///
+/// A replayed body streams from the store into `CoreSim` and is verified
+/// at its end (length, trailing bytes, SHA-256 against its content ID).
+/// No result computed from it is used or published before that passes;
+/// any failure evicts the manifest and the object and re-records live.
+///
 /// Outputs are bit-identical across hit/miss/off: a hit replays the exact
 /// µops the recorded execution emitted, the engine itself is
 /// deterministic, and sim objects round-trip f64 energy fields as raw
@@ -314,21 +319,25 @@ pub fn try_run_benchmark_cached(
     };
     let want_sim = cfg.timing && cache.sim_mode() != SimCacheMode::Off;
 
-    // A timed lookup needs the trace body for the CoreSim replay — unless
-    // the sim cache may serve the memoized result, in which case the
-    // manifest alone can satisfy the whole cell: probe manifest-only and
-    // fetch the body lazily only if the sim lookup misses.
-    if let Some((side, raw, _bytes_read)) = cache.fetch(&entry, cfg.timing && !want_sim) {
-        match serve_hit(&side, raw, cfg, cache, &entry, &mut sim_tel) {
-            Ok(out) => return Ok((out, CacheDisposition::Hit, sim_tel)),
+    // The manifest alone serves an untimed cell, and a timed one whose
+    // memoized simulation the sim cache holds; otherwise the body is
+    // streamed into CoreSim and verified before the result is used.
+    if let Some(side) = cache.fetch(&entry) {
+        match serve_hit(&side, cfg, cache, &mut sim_tel) {
+            Ok(out) => {
+                cache.note_hit();
+                return Ok((out, CacheDisposition::Hit, sim_tel));
+            }
             Err(e) => {
-                // Hash-valid but codec-invalid (or internally
-                // inconsistent) recording: drop it and re-record.
+                // Any failure — header, LZ, codec, trailer, µop count,
+                // hash or an inconsistent manifest — drops the manifest
+                // and the object, and the cell re-records live.
                 eprintln!(
                     "warning: trace cache entry for {} unusable ({e}); re-recording",
                     bench.name
                 );
-                cache.evict(&entry);
+                cache.evict(&entry, &side.cid);
+                sim_tel = SimTelemetry::default();
             }
         }
     }
@@ -370,7 +379,7 @@ pub fn try_run_benchmark_cached(
                 stored_bytes: 0,
             };
             // publish() fills the content-store location fields and
-            // warns (never fails the run) on store/network problems.
+            // warns (never fails the run) on store write problems.
             cache.publish(&entry, &mut side, &object.finish());
             // Memoize the live simulation under the freshly-assigned CID:
             // the live CoreSim saw exactly the µops the recording holds
@@ -395,16 +404,14 @@ pub fn try_run_benchmark_cached(
 }
 
 /// Serve a trace-cache hit, consulting the sim-result cache for timed
-/// configurations. `raw` is the trace body when the initial fetch already
-/// carried it (sim cache off). Errors mean the *trace* entry is unusable
-/// (the caller evicts and re-records); sim-layer problems degrade to
-/// re-simulation, never to an error.
+/// configurations. Errors mean the *trace* entry is unusable (the caller
+/// evicts and re-records); sim-layer problems degrade to re-simulation,
+/// never to an error. A replayed result leaves this function — and is
+/// published to the sim cache — only after its body has verified.
 fn serve_hit(
     side: &Sidecar,
-    raw: Option<Vec<u8>>,
     cfg: RunConfig,
     cache: &TraceCache,
-    entry: &CacheEntry,
     sim_tel: &mut SimTelemetry,
 ) -> Result<RunOutput, TraceError> {
     let sim_mode = cache.sim_mode();
@@ -418,9 +425,7 @@ fn serve_hit(
                     // bit-identical (compare encoded images so f64
                     // payloads are held to raw-bit equality, not
                     // PartialEq's -0.0 == 0.0).
-                    let raw = fetch_body(cache, entry, raw)?;
-                    let out = replay_output(side, Some(&raw), true)?;
-                    let live = out.sim.as_ref().expect("timed replay carries a result");
+                    let live = replay_sim(cache, side)?;
                     let live_obj = SimObject::new(side.cid, sim_fingerprint(), live.clone());
                     sim_tel.hits += 1;
                     if live_obj.encode() != obj.encode() {
@@ -433,7 +438,7 @@ fn serve_hit(
                             cid_hex(&side.cid)
                         );
                     }
-                    return Ok(out);
+                    return output_from_parts(side, Some(live));
                 }
                 sim_tel.hits += 1;
                 return output_from_parts(side, Some(obj.result));
@@ -449,8 +454,8 @@ fn serve_hit(
             );
         }
     }
-    let raw = if cfg.timing { Some(fetch_body(cache, entry, raw)?) } else { None };
-    let out = replay_output(side, raw.as_deref(), cfg.timing)?;
+    let sim = if cfg.timing { Some(replay_sim(cache, side)?) } else { None };
+    let out = output_from_parts(side, sim)?;
     if want_sim {
         sim_tel.misses += 1;
         cache.note_sim_miss();
@@ -461,48 +466,16 @@ fn serve_hit(
     Ok(out)
 }
 
-/// The trace body for a hit: what the initial fetch carried, or a lazy
-/// re-fetch (the sim fast path probes manifest-only).
-fn fetch_body(
-    cache: &TraceCache,
-    entry: &CacheEntry,
-    raw: Option<Vec<u8>>,
-) -> Result<Vec<u8>, TraceError> {
-    if let Some(raw) = raw {
-        return Ok(raw);
-    }
-    cache.refetch_body(entry).ok_or(TraceError::Corrupt {
-        offset: 0,
-        what: "trace body vanished between manifest probe and replay",
-    })
-}
-
-/// Rebuild a [`RunOutput`] from a cached sidecar (and, for timed
-/// configurations, the raw trace bytes) without running the engine. The
-/// timed path replays the trace into a fresh `CoreSim` — exactly what the
+/// Replay a hit's trace body into a fresh `CoreSim` — exactly what the
 /// live path does with the µops as they are produced, so the `SimResult`
-/// is identical.
-fn replay_output(
-    side: &Sidecar,
-    raw: Option<&[u8]>,
-    timing: bool,
-) -> Result<RunOutput, TraceError> {
-    let sim = if timing {
-        let raw = raw.ok_or(TraceError::Corrupt {
-            offset: 0,
-            what: "timed replay without a trace body",
-        })?;
-        let mut reader = TraceReader::new(raw)?;
-        let mut sim = CoreSim::new(sim_config());
-        let replayed = reader.replay(&mut sim)?;
-        if replayed != side.uops {
-            return Err(TraceError::Corrupt { offset: 0, what: "trace/sidecar µop mismatch" });
-        }
-        Some(sim.result())
-    } else {
-        None
-    };
-    output_from_parts(side, sim)
+/// is identical. The body streams from the store and is verified at its
+/// end; the result is returned only when that and the µop count pass.
+fn replay_sim(cache: &TraceCache, side: &Sidecar) -> Result<SimResult, TraceError> {
+    let mut sim = CoreSim::new(sim_config());
+    if cache.replay_body(side, &mut sim)? != side.uops {
+        return Err(TraceError::Corrupt { offset: 0, what: "trace/sidecar µop mismatch" });
+    }
+    Ok(sim.result())
 }
 
 /// Assemble a [`RunOutput`] from a sidecar and an (optional) simulation

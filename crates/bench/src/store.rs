@@ -19,8 +19,8 @@
 //!   are small (~400 B) and rewritten atomically (tmp + rename).
 //! * An **object** is one encoded µop trace, stored under the hex SHA-256
 //!   of its *raw* encoded bytes, in a 256-way fan-out of shard
-//!   directories keyed by the first hex byte (so no single directory
-//!   grows unbounded at fleet scale). Objects are immutable: two logical
+//!   directories keyed by the first hex byte (so no directory holds
+//!   every object of a large store). Objects are immutable: two logical
 //!   keys whose executions emit identical µop streams (geometry sweeps
 //!   that only vary the simulated cache, schema-salt bumps that do not
 //!   change emission) share one object — that is the dedup the flat
@@ -33,7 +33,9 @@
 //!   end to end (decompress, hash, compare).
 //! * Recordings are written through an [`ObjectWriter`], which streams
 //!   the raw bytes through the hash and the compressor as they arrive, so
-//!   the raw body is never held in memory.
+//!   the raw body is never held in memory. Bodies are read back the same
+//!   way, through the [`BodyReader`] of [`TraceStore::open_body`]: file
+//!   blocks in, decompressed and hashed chunks out, verified at the end.
 //!
 //! # Crash safety and reclamation
 //!
@@ -46,11 +48,12 @@
 //! size (LRU by manifest mtime; hits refresh the mtime), removes
 //! unreferenced objects, and clears legacy flat-layout files.
 //!
-//! Corruption degrades to a miss, never to wrong data or a panic: a size
-//! or hash mismatch evicts the offending entry and the caller re-records.
+//! Corruption degrades to a miss, never to wrong data or a panic: a size,
+//! header, decode, length or hash failure evicts the offending manifest
+//! and object, and the caller re-records.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::SystemTime;
@@ -129,39 +132,6 @@ impl ObjectImage {
         side.compression = self.compression;
         side.trace_bytes = self.raw_len;
         side.stored_bytes = self.bytes.len() as u64;
-    }
-
-    /// Decode an object file image back to the raw trace bytes and verify
-    /// them against the expected content ID. `None` on any structural
-    /// defect, decompression failure, or hash mismatch — never panics.
-    #[must_use]
-    pub fn decode_verify(image: &[u8], expect_cid: &[u8; 32]) -> Option<Vec<u8>> {
-        if image.len() < OBJECT_HEADER_LEN
-            || image[..4] != OBJECT_MAGIC
-            || image[4] != OBJECT_VERSION
-        {
-            return None;
-        }
-        let compression = image[5];
-        let raw_len = u64::from_le_bytes(image[6..14].try_into().ok()?);
-        if raw_len > MAX_OBJECT_RAW_LEN {
-            return None;
-        }
-        let payload = &image[OBJECT_HEADER_LEN..];
-        let raw = match compression {
-            COMPRESS_NONE => {
-                if payload.len() as u64 != raw_len {
-                    return None;
-                }
-                payload.to_vec()
-            }
-            COMPRESS_LZ => lz::decompress(payload, raw_len as usize).ok()?,
-            _ => return None,
-        };
-        if sha256(&raw) != *expect_cid {
-            return None;
-        }
-        Some(raw)
     }
 }
 
@@ -250,6 +220,232 @@ impl Write for ObjectWriter {
     }
 }
 
+/// Why a stored trace body failed its streamed read.
+#[derive(Debug)]
+pub enum BodyError {
+    /// The object file could not be opened or read.
+    Io(io::Error),
+    /// The object disagrees with itself or with its manifest, or raw
+    /// bytes remain after the consumer stopped reading.
+    Corrupt(&'static str),
+    /// The LZ payload does not decode.
+    Lz(lz::LzError),
+    /// The body does not hash to its content ID.
+    HashMismatch,
+}
+
+impl std::fmt::Display for BodyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BodyError::Io(e) => write!(f, "object read failed: {e}"),
+            BodyError::Corrupt(what) => write!(f, "corrupt object: {what}"),
+            BodyError::Lz(e) => write!(f, "corrupt object payload: {e}"),
+            BodyError::HashMismatch => write!(f, "object body does not match its content ID"),
+        }
+    }
+}
+
+impl std::error::Error for BodyError {}
+
+impl From<io::Error> for BodyError {
+    fn from(e: io::Error) -> BodyError {
+        BodyError::Io(e)
+    }
+}
+
+impl From<BodyError> for io::Error {
+    fn from(e: BodyError) -> io::Error {
+        match e {
+            BodyError::Io(e) => e,
+            e => io::Error::new(io::ErrorKind::InvalidData, e),
+        }
+    }
+}
+
+/// Bytes per object-file read and per decoded chunk.
+const BODY_BLOCK: usize = 1 << 16;
+
+/// The one way a stored trace body is read: the object's payload is read
+/// in [`BODY_BLOCK`]s, decompressed in chunks of at most a block through
+/// an [`lz::Decompressor`] that keeps only its back-reference window, and
+/// every decoded chunk is hashed once as it is handed out through
+/// [`Read`]. Memory is a few blocks, whatever the body's length.
+///
+/// A consumer sees bytes before their hash is known: nothing it computes
+/// from them may be used until [`BodyReader::finish`] has passed.
+#[derive(Debug)]
+pub struct BodyReader<R = File> {
+    inp: R,
+    /// Payload bytes not yet read from `inp`.
+    payload_left: u64,
+    /// The last payload block read; `block[at..]` is not yet decoded.
+    block: Vec<u8>,
+    at: usize,
+    /// The decoder, or `None` for a payload stored raw.
+    lz: Option<lz::Decompressor>,
+    /// Decoded bytes: back-reference history, then `window[unread..]`,
+    /// not yet handed out.
+    window: Vec<u8>,
+    unread: usize,
+    sha: Sha256,
+    /// Object bytes read so far, header included.
+    stored_read: u64,
+    /// Set by the first failure; every later read fails too.
+    failed: bool,
+}
+
+impl<R: Read> BodyReader<R> {
+    /// Start reading the object image `inp` that `side` locates: its
+    /// header must match the manifest's compression and raw length and
+    /// leave a payload of the recorded size. `side.stored_bytes` bounds
+    /// what is read from `inp`.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable, malformed or manifest-disagreeing header.
+    pub fn new(mut inp: R, side: &Sidecar) -> Result<BodyReader<R>, BodyError> {
+        let mut head = [0u8; OBJECT_HEADER_LEN];
+        inp.read_exact(&mut head)?;
+        let raw_len = u64::from_le_bytes(head[6..].try_into().expect("8-byte field"));
+        let payload_left = side
+            .stored_bytes
+            .checked_sub(OBJECT_HEADER_LEN as u64)
+            .ok_or(BodyError::Corrupt("object shorter than its header"))?;
+        if head[..4] != OBJECT_MAGIC || head[4] != OBJECT_VERSION {
+            return Err(BodyError::Corrupt("bad object magic or version"));
+        }
+        if head[5] != side.compression || raw_len != side.trace_bytes {
+            return Err(BodyError::Corrupt("object header disagrees with its manifest"));
+        }
+        if raw_len > MAX_OBJECT_RAW_LEN {
+            return Err(BodyError::Corrupt("implausible raw length"));
+        }
+        let lz = match head[5] {
+            COMPRESS_NONE if payload_left == raw_len => None,
+            COMPRESS_LZ => Some(lz::Decompressor::new(raw_len as usize)),
+            _ => return Err(BodyError::Corrupt("bad compression or payload length")),
+        };
+        // The window never outgrows its history, three chunks of dead
+        // output and one fresh chunk (see `fill_chunk`).
+        let window = if lz.is_some() { lz::MAX_OFFSET + 4 * BODY_BLOCK } else { BODY_BLOCK };
+        Ok(BodyReader {
+            inp,
+            payload_left,
+            block: Vec::with_capacity(BODY_BLOCK),
+            at: 0,
+            lz,
+            window: Vec::with_capacity(window),
+            unread: 0,
+            sha: Sha256::new(),
+            stored_read: OBJECT_HEADER_LEN as u64,
+            failed: false,
+        })
+    }
+
+    /// Object bytes read so far (header included): the stored form,
+    /// whether or not it is compressed.
+    #[must_use]
+    pub fn stored_read(&self) -> u64 {
+        self.stored_read
+    }
+
+    /// Decode the next chunk into `window[unread..]`, hashing it. Leaves
+    /// nothing unread only at the end of the payload.
+    fn fill(&mut self) -> Result<(), BodyError> {
+        if self.failed {
+            return Err(BodyError::Corrupt("read after a failed read"));
+        }
+        let r = self.fill_chunk();
+        if r.is_err() {
+            // Whatever the failed call decoded is neither hashed nor
+            // handed out.
+            self.failed = true;
+            self.window.truncate(self.unread);
+        }
+        r
+    }
+
+    fn fill_chunk(&mut self) -> Result<(), BodyError> {
+        // Output already handed out is dropped, except the LZ
+        // back-reference history; that trim waits for three chunks of
+        // dead output, so each byte is moved at most once.
+        let (keep, slack) =
+            if self.lz.is_some() { (lz::MAX_OFFSET, 3 * BODY_BLOCK) } else { (0, 0) };
+        if self.window.len() >= keep + slack {
+            self.window.drain(..self.window.len() - keep);
+        }
+        self.unread = self.window.len();
+        loop {
+            if self.at == self.block.len() {
+                if self.payload_left == 0 {
+                    return Ok(());
+                }
+                let n = self.payload_left.min(BODY_BLOCK as u64) as usize;
+                self.block.resize(n, 0);
+                self.inp.read_exact(&mut self.block)?;
+                self.payload_left -= n as u64;
+                self.stored_read += n as u64;
+                self.at = 0;
+            }
+            match &mut self.lz {
+                None => {
+                    // Stored raw: the block is the chunk (the window was
+                    // emptied above and becomes the next block buffer).
+                    std::mem::swap(&mut self.window, &mut self.block);
+                    self.at = 0;
+                }
+                Some(d) => {
+                    let used = d
+                        .decode(&self.block[self.at..], &mut self.window, BODY_BLOCK)
+                        .map_err(BodyError::Lz)?;
+                    self.at += used;
+                }
+            }
+            if self.window.len() > self.unread {
+                self.sha.update(&self.window[self.unread..]);
+                return Ok(());
+            }
+        }
+    }
+
+    /// Verify the body after its consumer stopped: the rest of the
+    /// payload must decode to nothing more — a byte the consumer did not
+    /// read lies past its end — and the whole body must be exactly the
+    /// manifest's raw length and hash to `cid`.
+    ///
+    /// # Errors
+    ///
+    /// Any read, decode, length, trailing-byte or hash failure.
+    pub fn finish(&mut self, cid: &[u8; 32]) -> Result<(), BodyError> {
+        if self.unread == self.window.len() {
+            self.fill()?;
+        }
+        if self.unread < self.window.len() {
+            self.failed = true;
+            return Err(BodyError::Corrupt("raw bytes after the end of the trace"));
+        }
+        if let Some(d) = &self.lz {
+            d.finish().map_err(BodyError::Lz)?;
+        }
+        if std::mem::take(&mut self.sha).finalize() != *cid {
+            return Err(BodyError::HashMismatch);
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Read for BodyReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.unread == self.window.len() {
+            self.fill()?;
+        }
+        let n = buf.len().min(self.window.len() - self.unread);
+        buf[..n].copy_from_slice(&self.window[self.unread..self.unread + n]);
+        self.unread += n;
+        Ok(n)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Sidecar (manifest payload)
 // ---------------------------------------------------------------------------
@@ -267,7 +463,7 @@ const META_VERSION: u8 = 5;
 /// itself, plus the trace body's location in the content store. Stored as
 /// a small self-describing binary file (the workspace's JSON layer is
 /// write-only, so JSON is not an option here).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sidecar {
     /// Canonical cache key (collision guard).
     pub key: String,
@@ -691,22 +887,38 @@ impl TraceStore {
         }
     }
 
-    /// Load the manifest *and* the raw trace bytes for `key`, verifying
-    /// the body's content hash. Any failure is a miss; corruption evicts.
+    /// Open the object body `side` locates for one streamed read,
+    /// verified at its end ([`BodyReader::finish`]). The file must have
+    /// the manifest's recorded size.
+    ///
+    /// # Errors
+    ///
+    /// A missing or unreadable file, or one whose size or header
+    /// disagrees with `side`.
+    pub fn open_body(&self, side: &Sidecar) -> Result<BodyReader, BodyError> {
+        let file = File::open(self.object_path(&side.cid))?;
+        if file.metadata()?.len() != side.stored_bytes {
+            return Err(BodyError::Corrupt("object size disagrees with its manifest"));
+        }
+        BodyReader::new(file, side)
+    }
+
+    /// Load the manifest *and* the raw trace bytes for `key`: a drain of
+    /// [`TraceStore::open_body`]. Any failure is a miss and evicts the
+    /// manifest and the object.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<(Sidecar, Vec<u8>)> {
         let side = self.stat(key)?;
-        let Ok(image) = fs::read(self.object_path(&side.cid)) else {
-            self.evict_entry(key, None);
-            return None;
-        };
-        match ObjectImage::decode_verify(&image, &side.cid) {
-            Some(raw) if raw.len() as u64 == side.trace_bytes => Some((side, raw)),
-            _ => {
-                // The body failed its own hash (or declared the wrong raw
-                // size): drop it and the manifest that pointed at it —
-                // other manifests sharing the CID evict themselves the
-                // same way on their next lookup.
+        let mut raw = Vec::new();
+        let read = self.open_body(&side).and_then(|mut body| {
+            body.read_to_end(&mut raw)?;
+            body.finish(&side.cid)
+        });
+        match read {
+            Ok(()) => Some((side, raw)),
+            Err(_) => {
+                // Other manifests sharing the CID evict themselves on
+                // their next lookup (their object is gone).
                 self.evict_entry(key, Some(&side.cid));
                 None
             }
@@ -1070,31 +1282,58 @@ mod tests {
         (dir, store)
     }
 
+    /// A sidecar locating `img`, as a publish records it.
+    fn located(img: &ObjectImage) -> Sidecar {
+        let mut side = sample_sidecar("k");
+        img.locate(&mut side);
+        side
+    }
+
+    /// Drain an in-memory object image through a [`BodyReader`] in reads
+    /// of `step` bytes, verified against `cid`.
+    fn read_image(
+        image: &[u8],
+        side: &Sidecar,
+        cid: &[u8; 32],
+        step: usize,
+    ) -> Result<Vec<u8>, BodyError> {
+        let mut body = BodyReader::new(image, side)?;
+        let (mut raw, mut buf) = (Vec::new(), vec![0u8; step]);
+        loop {
+            let n = body.read(&mut buf)?;
+            if n == 0 {
+                break;
+            }
+            raw.extend_from_slice(&buf[..n]);
+        }
+        body.finish(cid)?;
+        assert_eq!(body.stored_read(), image.len() as u64, "whole object read");
+        Ok(raw)
+    }
+
     #[test]
     fn object_image_round_trips_and_verifies() {
         let raw = b"abcdabcdabcdabcd-trailer".repeat(50);
         let img = ObjectImage::build(&raw, true);
+        let side = located(&img);
         assert_eq!(img.compression, COMPRESS_LZ);
         assert!(img.bytes.len() < raw.len(), "repetitive payload should shrink");
-        assert_eq!(
-            ObjectImage::decode_verify(&img.bytes, &img.cid).expect("verifies"),
-            raw
-        );
+        assert_eq!(read_image(&img.bytes, &side, &img.cid, 7).expect("verifies"), raw);
         // Wrong CID is rejected.
         let mut wrong = img.cid;
         wrong[0] ^= 1;
-        assert!(ObjectImage::decode_verify(&img.bytes, &wrong).is_none());
+        assert!(matches!(
+            read_image(&img.bytes, &side, &wrong, 7),
+            Err(BodyError::HashMismatch)
+        ));
         // Corruption at every byte is rejected or detected by the hash.
         for i in 0..img.bytes.len() {
             let mut bad = img.bytes.clone();
             bad[i] ^= 0x40;
-            assert!(
-                ObjectImage::decode_verify(&bad, &img.cid).is_none(),
-                "flip at {i} accepted"
-            );
+            assert!(read_image(&bad, &side, &img.cid, 7).is_err(), "flip at {i} accepted");
         }
         for len in 0..img.bytes.len() {
-            assert!(ObjectImage::decode_verify(&img.bytes[..len], &img.cid).is_none());
+            assert!(read_image(&img.bytes[..len], &side, &img.cid, 7).is_err());
         }
         // Incompressible payloads are stored raw.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -1108,10 +1347,65 @@ mod tests {
             .collect();
         let img = ObjectImage::build(&noise, true);
         assert_eq!(img.compression, COMPRESS_NONE);
-        assert_eq!(
-            ObjectImage::decode_verify(&img.bytes, &img.cid).expect("verifies"),
-            noise
-        );
+        assert_eq!(read_image(&img.bytes, &located(&img), &img.cid, 100).expect("verifies"), noise);
+    }
+
+    #[test]
+    fn body_reader_streams_multi_block_bodies_in_any_read_size() {
+        // Several blocks, long matches and a literal-heavy tail, stored
+        // both compressed and raw.
+        let mut raw = b"frame 0123 | pc +4 | tok +1 | addr +8 ".repeat(9_000);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        raw.extend((0..3 * BODY_BLOCK).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 5) as u8
+        }));
+        for compress in [true, false] {
+            let img = ObjectImage::build(&raw, compress);
+            let side = located(&img);
+            for step in [1, 1000, BODY_BLOCK + 1, 1 << 20] {
+                assert_eq!(
+                    read_image(&img.bytes, &side, &img.cid, step).expect("verifies"),
+                    raw,
+                    "compress {compress}, reads of {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn body_reader_rejects_manifest_disagreement_and_unread_bytes() {
+        let raw = b"trace body trace body trace body ".repeat(40);
+        let img = ObjectImage::build(&raw, true);
+        let side = located(&img);
+        let header = |side: &Sidecar| BodyReader::new(&img.bytes[..], side).map(|_| ());
+        for edit in [
+            |s: &mut Sidecar| s.trace_bytes += 1,
+            |s: &mut Sidecar| s.compression = COMPRESS_NONE,
+            |s: &mut Sidecar| s.stored_bytes = 3,
+        ] {
+            let mut bad = side.clone();
+            edit(&mut bad);
+            assert!(matches!(header(&bad), Err(BodyError::Corrupt(_))), "{bad:?}");
+        }
+        // A consumer that stops one byte short leaves a trailing byte.
+        let mut body = BodyReader::new(&img.bytes[..], &side).expect("header");
+        let mut head = vec![0u8; raw.len() - 1];
+        body.read_exact(&mut head).expect("reads");
+        assert!(matches!(body.finish(&img.cid), Err(BodyError::Corrupt(_))));
+        // A failed read poisons the reader: nothing unverified leaks out.
+        let mut bad = img.bytes.clone();
+        bad[OBJECT_HEADER_LEN] ^= 0xff;
+        let mut body = BodyReader::new(&bad[..], &side).expect("header");
+        let mut sink = Vec::new();
+        if body.read_to_end(&mut sink).is_ok() {
+            assert!(body.finish(&img.cid).is_err(), "corrupt body verified");
+        } else {
+            assert!(body.read(&mut [0u8; 16]).is_err(), "read after a failure");
+            assert!(body.finish(&img.cid).is_err());
+        }
     }
 
     /// The object image as the one-shot builder assembled it: hash, then

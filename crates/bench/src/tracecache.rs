@@ -8,8 +8,9 @@
 //! snapshot, Figure 3 row, Class Cache / VM / object statistics,
 //! checksum), plus the µop stream in the compact binary format of
 //! [`checkelide_isa::codec`] — so an untimed hit never touches the trace
-//! body at all and a timed hit replays it through a fresh `CoreSim`
-//! instead of re-running the engine.
+//! body at all and a timed hit streams it from the store into a fresh
+//! `CoreSim` instead of re-running the engine, using the result only once
+//! the body has verified (`TraceCache::replay_body`).
 //!
 //! `TraceCache` is either off (lookups never hit, nothing is recorded)
 //! or a thin front-end over a local [`crate::store::TraceStore`]
@@ -66,6 +67,8 @@ use crate::simcache::{sim_fingerprint, SimCacheMode};
 use crate::store::{cid_hex, fnv1a64, sha256, ObjectImage, ObjectWriter, Sidecar, TraceStore};
 use crate::suite::find;
 use checkelide_engine::Mechanism;
+use checkelide_isa::codec::{TraceError, TraceReader};
+use checkelide_isa::TraceSink;
 use checkelide_uarch::{SimObject, SimResult, SIM_OBJECT_LEN};
 
 /// Environment variable selecting the store directory, or
@@ -90,7 +93,8 @@ pub struct TraceCacheStats {
     /// Recorded entries whose trace body already existed (cross-key
     /// dedup).
     pub dedup_stores: u64,
-    /// Cache bytes read (manifests + stored trace bodies).
+    /// Cache bytes read: manifests, sim objects and object files in their
+    /// stored (possibly compressed) form.
     pub bytes_read: u64,
     /// Cache bytes written (manifests + stored trace bodies, i.e.
     /// post-compression).
@@ -330,37 +334,45 @@ impl TraceCache {
         Some(CacheEntry { key: cache_key(bench, scale, cfg) })
     }
 
-    /// Look up an entry. `need_trace` controls whether the trace body is
-    /// read (timed replay) or only the manifest (untimed hit). Any
-    /// failure — absence or corruption — is a `None` miss; the caller
-    /// records live. Returns the sidecar, the raw trace bytes when
-    /// requested, and the cache bytes this lookup read.
-    pub(crate) fn fetch(
-        &self,
-        entry: &CacheEntry,
-        need_trace: bool,
-    ) -> Option<(Sidecar, Option<Vec<u8>>, u64)> {
-        let store = self.store.as_ref()?;
-        let (side, raw) = if need_trace {
-            let (side, raw) = store.get(&entry.key)?;
-            (side, Some(raw))
-        } else {
-            (store.stat(&entry.key)?, None)
-        };
-        let bytes_read =
-            side.encode().len() as u64 + raw.as_ref().map_or(0, |r| r.len() as u64);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
-        Some((side, raw, bytes_read))
+    /// Look up an entry's manifest (an existence and size check of its
+    /// object, no body read). Any failure — absence or corruption — is a
+    /// `None` miss; the caller records live. The hit is counted by
+    /// [`TraceCache::note_hit`] once the entry has served its cell.
+    pub(crate) fn fetch(&self, entry: &CacheEntry) -> Option<Sidecar> {
+        let side = self.store.as_ref()?.stat(&entry.key)?;
+        self.bytes_read.fetch_add(side.encode().len() as u64, Ordering::Relaxed);
+        Some(side)
     }
 
-    /// Re-read the trace body for an entry whose manifest was already
-    /// served this cell (the sim-verify and sim-miss paths probe
-    /// manifest-only first). Does not count a second hit.
-    pub(crate) fn refetch_body(&self, entry: &CacheEntry) -> Option<Vec<u8>> {
-        let (_, raw) = self.store.as_ref()?.get(&entry.key)?;
-        self.bytes_read.fetch_add(raw.len() as u64, Ordering::Relaxed);
-        Some(raw)
+    /// Count an entry that served its cell without engine execution.
+    pub(crate) fn note_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Replay the trace body `side` locates into `sink` through the
+    /// store's streamed reader, and return the µops replayed only once
+    /// the body has passed its end-of-read checks (length, trailing
+    /// bytes, content hash). Counts the object bytes read.
+    ///
+    /// `sink` consumes bytes before their hash is known: on an error the
+    /// caller must discard everything it computed and evict the entry.
+    pub(crate) fn replay_body(
+        &self,
+        side: &Sidecar,
+        sink: &mut dyn TraceSink,
+    ) -> Result<u64, TraceError> {
+        let store = self.store.as_ref().ok_or(TraceError::Corrupt {
+            offset: 0,
+            what: "trace body replay with the cache off",
+        })?;
+        let mut body = store.open_body(side).map_err(|e| TraceError::Io(e.into()))?;
+        let replayed = TraceReader::new(&mut body).and_then(|mut r| r.replay(sink));
+        let verified = replayed.and_then(|n| {
+            body.finish(&side.cid).map_err(|e| TraceError::Io(e.into()))?;
+            Ok(n)
+        });
+        self.bytes_read.fetch_add(body.stored_read(), Ordering::Relaxed);
+        verified
     }
 
     /// A writer that streams a recording into this cache's object format
@@ -393,11 +405,12 @@ impl TraceCache {
         }
     }
 
-    /// Drop an entry (replay-time corruption the store's own hash checks
-    /// did not catch, i.e. a hash-valid but codec-invalid recording).
-    pub(crate) fn evict(&self, entry: &CacheEntry) {
+    /// Drop an entry that failed to serve its cell: its manifest and the
+    /// object `cid`, so the re-recording publishes a fresh object rather
+    /// than deduplicating against the failed one.
+    pub(crate) fn evict(&self, entry: &CacheEntry, cid: &[u8; 32]) {
         if let Some(store) = &self.store {
-            store.evict_entry(&entry.key, None);
+            store.evict_entry(&entry.key, Some(cid));
         }
     }
 }
@@ -558,6 +571,30 @@ mod tests {
             env_before,
             "the flag must not be passed through the process environment"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_timed_hit_reads_the_manifest_and_the_stored_object() {
+        let dir = std::env::temp_dir()
+            .join(format!("checkelide-bytes-read-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Sim cache off, so the hit replays the trace body.
+        let cache = TraceCache::at(&dir).with_sim_mode(SimCacheMode::Off);
+        let bench = find("ai-astar").expect("suite has ai-astar");
+        let cfg = RunConfig::baseline_timed().with_scale(1).with_iterations(2);
+        let run = || crate::runner::try_run_benchmark_cached(bench, cfg, &cache).expect("runs").1;
+        assert_eq!(run(), crate::runner::CacheDisposition::Miss);
+        let store = cache.local_store().expect("store");
+        let key = cache.entry("ai-astar", 1, &cfg).expect("enabled").key;
+        let side = store.stat(&key).expect("recorded");
+        assert!(side.stored_bytes < side.trace_bytes, "the object is stored compressed");
+        let before = cache.stats();
+        assert_eq!(run(), crate::runner::CacheDisposition::Hit);
+        let after = cache.stats();
+        let manifest = std::fs::metadata(store.manifest_path(&key)).expect("manifest").len();
+        assert_eq!(after.bytes_read - before.bytes_read, manifest + side.stored_bytes);
+        assert_eq!(after.hits - before.hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

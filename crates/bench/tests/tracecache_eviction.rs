@@ -10,7 +10,8 @@
 //! re-recordings.
 
 use checkelide_bench::runner::{try_run_benchmark_cached, CacheDisposition, RunConfig};
-use checkelide_bench::{find, SimCacheMode, TraceCache};
+use checkelide_bench::store::{sha256, ObjectImage, Sidecar, TraceStore, OBJECT_HEADER_LEN};
+use checkelide_bench::{find, sim_fingerprint, SimCacheMode, TraceCache};
 use std::fs::{self, OpenOptions};
 use std::path::PathBuf;
 
@@ -141,4 +142,119 @@ fn repeated_recordings_share_one_content_id() {
         let _ = fs::remove_dir_all(&dir);
     }
     assert_eq!(cids[0], cids[1], "recordings differ across fresh stores");
+}
+
+/// One corruption drill on a timed cell with the sim cache on. The
+/// cell's memoized simulation is removed first, so its next hit streams
+/// the body into `CoreSim` and would publish what it computed. `corrupt`
+/// damages the stored entry and returns the CID the manifest now names.
+///
+/// The hit must fail into a miss that evicted the manifest and the
+/// object: the re-recording publishes exactly the original manifest and
+/// object bytes (no dedup against a corrupt object), no sim object is
+/// left for a corrupt CID (none computed from an unverified replay), and
+/// the next run has zero misses.
+fn drill(tag: &str, corrupt: impl FnOnce(&TraceStore, &Sidecar) -> [u8; 32]) {
+    let dir = fresh_cache_dir(tag);
+    let cache = TraceCache::at(&dir).with_sim_mode(SimCacheMode::On);
+    let cfg = RunConfig::baseline_timed().with_scale(1).with_iterations(2);
+    assert_eq!(run(&cache, cfg), CacheDisposition::Miss, "cold timed run records");
+
+    let store = cache.local_store().expect("local backend");
+    let key = cache.entry("ai-astar", 1, &cfg).expect("cache enabled").key;
+    let side = store.stat(&key).expect("entry recorded");
+    let (manifest, object) = (store.manifest_path(&key), store.object_path(&side.cid));
+    let (good_manifest, good_object) = (fs::read(&manifest).unwrap(), fs::read(&object).unwrap());
+    let fp = sim_fingerprint();
+    let good_sim = store.sim_get(&side.cid, fp).expect("cold run memoized").encode();
+    fs::remove_file(store.sim_path(&side.cid, fp)).expect("drop the memoized result");
+
+    let bad_cid = corrupt(store, &side);
+    let misses = cache.stats().misses;
+    assert_eq!(run(&cache, cfg), CacheDisposition::Miss, "{tag}: corrupt entry must miss");
+    assert_eq!(cache.stats().misses, misses + 1, "{tag}");
+    assert_eq!(fs::read(&manifest).unwrap(), good_manifest, "{tag}: manifest re-recorded");
+    assert_eq!(fs::read(&object).unwrap(), good_object, "{tag}: object re-recorded");
+    if bad_cid != side.cid {
+        assert!(!store.object_path(&bad_cid).exists(), "{tag}: corrupt object evicted");
+        assert!(store.sim_get(&bad_cid, fp).is_none(), "{tag}: sim object from a failed replay");
+    }
+    let sim = store.sim_get(&side.cid, fp).expect("re-recording memoized").encode();
+    assert_eq!(sim, good_sim, "{tag}: memoized result is the live one");
+
+    let before = cache.stats();
+    assert_eq!(run(&cache, cfg), CacheDisposition::Hit, "{tag}: healed entry hits");
+    let after = cache.stats();
+    assert_eq!((after.misses, after.sim_misses), (before.misses, before.sim_misses), "{tag}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Rewrite `side`'s manifest to name the object image `img` at `cid`.
+fn repoint(store: &TraceStore, side: &Sidecar, img: &ObjectImage, cid: [u8; 32]) -> [u8; 32] {
+    let opath = store.object_path(&cid);
+    fs::create_dir_all(opath.parent().expect("shard")).expect("shard dir");
+    fs::write(&opath, &img.bytes).expect("write object");
+    let moved = Sidecar {
+        cid,
+        compression: img.compression,
+        trace_bytes: img.raw_len,
+        stored_bytes: img.bytes.len() as u64,
+        ..side.clone()
+    };
+    fs::write(store.manifest_path(&side.key), moved.encode()).expect("rewrite manifest");
+    cid
+}
+
+#[test]
+fn flipped_payload_byte_evicts_and_reheals() {
+    drill("drill-flip", |store, side| {
+        let path = store.object_path(&side.cid);
+        let mut image = fs::read(&path).expect("object");
+        let mid = (OBJECT_HEADER_LEN + image.len()) / 2;
+        image[mid] ^= 0x01;
+        fs::write(&path, &image).expect("rewrite");
+        side.cid
+    });
+}
+
+#[test]
+fn truncated_object_file_evicts_and_reheals() {
+    drill("drill-truncate", |store, side| {
+        let path = store.object_path(&side.cid);
+        let len = fs::metadata(&path).expect("object").len();
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 1).expect("truncate");
+        side.cid
+    });
+}
+
+#[test]
+fn wrong_raw_len_evicts_and_reheals() {
+    drill("drill-rawlen", |store, side| {
+        let path = store.object_path(&side.cid);
+        let mut image = fs::read(&path).expect("object");
+        image[6..OBJECT_HEADER_LEN].copy_from_slice(&(side.trace_bytes + 1).to_le_bytes());
+        fs::write(&path, &image).expect("rewrite");
+        side.cid
+    });
+}
+
+#[test]
+fn bytes_after_the_trace_trailer_evict_and_reheal() {
+    drill("drill-trailing", |store, side| {
+        // A body that hashes to its own CID, whose trace ends early.
+        let (_, mut raw) = store.get(&side.key).expect("body reads");
+        raw.extend_from_slice(b"bytes after the trailer");
+        let img = ObjectImage::build(&raw, store.compress());
+        repoint(store, side, &img, img.cid)
+    });
+}
+
+#[test]
+fn decodable_body_under_the_wrong_cid_evicts_and_reheals() {
+    drill("drill-wrong-cid", |store, side| {
+        // The cell's own, fully decodable body, filed under another CID.
+        let (_, raw) = store.get(&side.key).expect("body reads");
+        let img = ObjectImage::build(&raw, store.compress());
+        repoint(store, side, &img, sha256(b"some other trace"))
+    });
 }

@@ -23,8 +23,10 @@
 //!
 //! 1. **[`decompress`] never panics** on any input — every read is
 //!    bounds-checked and failures are typed [`LzError`]s. Trace objects
-//!    cross a network protocol; corrupt frames must degrade to a cache
-//!    miss, not a crash.
+//!    are read back from disk as untrusted input; a corrupt object must
+//!    degrade to a cache miss, not a crash. The [`Decompressor`] core
+//!    decodes a stream in bounded chunks with only a [`MAX_OFFSET`]
+//!    history, so a stored body is never inflated whole.
 //! 2. Exact round-trip: `decompress(&compress(x), x.len()) == x`.
 //! 3. Throughput over ratio: a greedy single-pass hash-table matcher, no
 //!    entropy stage. Encoded traces are already dense (~5 B/µop) but
@@ -309,32 +311,198 @@ fn extend_match(src: &[u8], cand: usize, pos: usize, mut len: usize) -> usize {
     len
 }
 
-struct LzCur<'a> {
-    src: &'a [u8],
-    pos: usize,
+/// Where a [`Decompressor`] stands in the token grammar between calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// At the token byte of the next sequence.
+    Token,
+    /// Inside literal-length extension bytes: the length so far and the
+    /// sequence's match nibble.
+    LitLen { len: usize, nib: u8 },
+    /// Copying the `left` remaining literals of a sequence.
+    Literals { left: usize, nib: u8 },
+    /// After a literal run, at its offset field (`lo` once its first byte
+    /// is read; `at` is the field's stream offset). The stream may end
+    /// here: that was its final, literals-only sequence.
+    Offset { lo: Option<u8>, at: usize, nib: u8 },
+    /// Inside match-length extension bytes.
+    MatchLen { off: usize, len: usize },
+    /// Copying the `left` remaining bytes of a back-reference.
+    Match { off: usize, left: usize },
 }
 
-impl LzCur<'_> {
-    #[inline]
-    fn byte(&mut self) -> Result<u8, LzError> {
-        let b = *self.src.get(self.pos).ok_or(LzError::Truncated { offset: self.pos })?;
-        self.pos += 1;
-        Ok(b)
+/// Resumable decoder core behind [`decompress`]: the compressed stream
+/// may arrive split anywhere, and output is produced in chunks of at
+/// most the caller's bound, so a body can be decoded in bounded memory.
+///
+/// Each [`Decompressor::decode`] call appends to an output buffer that
+/// must end with this decoder's last `min(produced, MAX_OFFSET)` output
+/// bytes — the only bytes a back-reference can reach. A one-shot decode
+/// keeps the whole output there; a streaming reader keeps one window.
+/// Failures are typed [`LzError`]s, and the decoder never produces more
+/// than the declared length.
+#[derive(Debug, Clone)]
+pub struct Decompressor {
+    phase: Phase,
+    /// Declared decoded length.
+    expected: usize,
+    /// Bytes produced so far.
+    produced: usize,
+    /// Compressed bytes consumed so far (the base of error offsets).
+    consumed: usize,
+}
+
+impl Decompressor {
+    /// A decoder for a stream that declares `expected` decoded bytes.
+    #[must_use]
+    pub fn new(expected: usize) -> Decompressor {
+        Decompressor { phase: Phase::Token, expected, produced: 0, consumed: 0 }
     }
 
-    fn len_ext(&mut self, base: usize, cap: usize) -> Result<usize, LzError> {
-        let mut len = base;
+    /// Decode the next part of the stream, `src`, appending to `out`
+    /// until `src` is used up or `out` has grown by `max_out` bytes.
+    /// Returns how many bytes of `src` were consumed; the rest must be
+    /// passed again (before any later input).
+    ///
+    /// # Errors
+    ///
+    /// A bad back-reference or an output past the declared length. The
+    /// decoder is unusable afterwards.
+    pub fn decode(
+        &mut self,
+        src: &[u8],
+        out: &mut Vec<u8>,
+        max_out: usize,
+    ) -> Result<usize, LzError> {
+        let limit = out.len().saturating_add(max_out);
+        let mut pos = 0;
+        let mut phase = self.phase;
+        let base = self.consumed;
+        let mut produced = self.produced;
         loop {
-            let b = self.byte()?;
-            len += b as usize;
-            // A hostile stream can chain 255-bytes forever; anything past
-            // the declared output size is corrupt regardless.
-            if len > cap {
-                return Err(LzError::TooLong { offset: self.pos });
+            phase = match phase {
+                Phase::Token => {
+                    let Some(&token) = src.get(pos) else { break };
+                    pos += 1;
+                    let (lit, nib) = ((token >> 4) as usize, token & 0x0f);
+                    if lit == 15 {
+                        Phase::LitLen { len: lit, nib }
+                    } else if lit > self.expected - produced {
+                        return Err(LzError::TooLong { offset: base + pos });
+                    } else if lit == 0 {
+                        Phase::Offset { lo: None, at: base + pos, nib }
+                    } else {
+                        Phase::Literals { left: lit, nib }
+                    }
+                }
+                Phase::LitLen { len, nib } => {
+                    let (len, done) = self.len_ext(src, &mut pos, len, produced)?;
+                    if !done {
+                        phase = Phase::LitLen { len, nib };
+                        break;
+                    }
+                    Phase::Literals { left: len, nib }
+                }
+                Phase::Literals { left, nib } => {
+                    let n = left.min(src.len() - pos).min(limit.saturating_sub(out.len()));
+                    if n == 0 {
+                        break;
+                    }
+                    out.extend_from_slice(&src[pos..pos + n]);
+                    pos += n;
+                    produced += n;
+                    if n == left {
+                        Phase::Offset { lo: None, at: base + pos, nib }
+                    } else {
+                        Phase::Literals { left: left - n, nib }
+                    }
+                }
+                Phase::Offset { lo, at, nib } => {
+                    let Some(&b) = src.get(pos) else { break };
+                    pos += 1;
+                    let Some(lo) = lo else {
+                        phase = Phase::Offset { lo: Some(b), at, nib };
+                        continue;
+                    };
+                    let off = usize::from(u16::from_le_bytes([lo, b]));
+                    if off == 0 || off > produced || off > out.len() {
+                        return Err(LzError::BadOffset { offset: at });
+                    }
+                    let len = usize::from(nib) + MIN_MATCH;
+                    if nib == 15 {
+                        Phase::MatchLen { off, len }
+                    } else if len > self.expected - produced {
+                        return Err(LzError::TooLong { offset: base + pos });
+                    } else {
+                        Phase::Match { off, left: len }
+                    }
+                }
+                Phase::MatchLen { off, len } => {
+                    let (len, done) = self.len_ext(src, &mut pos, len, produced)?;
+                    if !done {
+                        phase = Phase::MatchLen { off, len };
+                        break;
+                    }
+                    Phase::Match { off, left: len }
+                }
+                Phase::Match { off, left } => {
+                    let n = left.min(limit.saturating_sub(out.len()));
+                    if n == 0 {
+                        break;
+                    }
+                    copy_match(out, off, n);
+                    produced += n;
+                    if n == left {
+                        Phase::Token
+                    } else {
+                        Phase::Match { off, left: left - n }
+                    }
+                }
+            };
+        }
+        self.phase = phase;
+        self.produced = produced;
+        self.consumed += pos;
+        Ok(pos)
+    }
+
+    /// Continue a length extension from `src[*pos..]`: `(length, done)`.
+    /// A length past the output still owed is corrupt, which also stops
+    /// a hostile stream from chaining 255-bytes forever.
+    fn len_ext(
+        &self,
+        src: &[u8],
+        pos: &mut usize,
+        mut len: usize,
+        produced: usize,
+    ) -> Result<(usize, bool), LzError> {
+        while let Some(&b) = src.get(*pos) {
+            *pos += 1;
+            len += usize::from(b);
+            if len > self.expected - produced {
+                return Err(LzError::TooLong { offset: self.consumed + *pos });
             }
             if b < 255 {
-                return Ok(len);
+                return Ok((len, true));
             }
+        }
+        Ok((len, false))
+    }
+
+    /// End of input: the stream must have stopped right after a final
+    /// literal run, with exactly the declared length produced.
+    ///
+    /// # Errors
+    ///
+    /// [`LzError::Truncated`] when the input stopped anywhere else,
+    /// [`LzError::ShortOutput`] when too few bytes were produced.
+    pub fn finish(&self) -> Result<(), LzError> {
+        match self.phase {
+            Phase::Offset { lo: None, .. } if self.produced == self.expected => Ok(()),
+            Phase::Offset { lo: None, .. } => {
+                Err(LzError::ShortOutput { produced: self.produced, expected: self.expected })
+            }
+            _ => Err(LzError::Truncated { offset: self.consumed }),
         }
     }
 }
@@ -353,49 +521,16 @@ pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
 }
 
 /// [`decompress`] appending to `out`: the `expected` decoded bytes follow
-/// whatever `out` already holds, which back-references cannot reach.
+/// whatever `out` already holds, which back-references cannot reach. One
+/// unbounded [`Decompressor::decode`] of the whole stream.
 ///
 /// # Errors
 ///
 /// As [`decompress`]; on error `out` holds a partial decode.
 pub fn decompress_into(src: &[u8], out: &mut Vec<u8>, expected: usize) -> Result<(), LzError> {
-    let start = out.len();
-    let end_len = start + expected;
-    let mut c = LzCur { src, pos: 0 };
-    loop {
-        let token = c.byte()?;
-        let mut lit = (token >> 4) as usize;
-        if lit == 15 {
-            lit = c.len_ext(15, expected)?;
-        }
-        if out.len() + lit > end_len {
-            return Err(LzError::TooLong { offset: c.pos });
-        }
-        let end = c.pos.checked_add(lit).ok_or(LzError::Truncated { offset: c.pos })?;
-        let run = c.src.get(c.pos..end).ok_or(LzError::Truncated { offset: c.pos })?;
-        out.extend_from_slice(run);
-        c.pos = end;
-        if c.pos == c.src.len() {
-            // Final literals-only sequence.
-            if out.len() != end_len {
-                return Err(LzError::ShortOutput { produced: out.len() - start, expected });
-            }
-            return Ok(());
-        }
-        let off_at = c.pos;
-        let off = usize::from(u16::from_le_bytes([c.byte()?, c.byte()?]));
-        if off == 0 || off > out.len() - start {
-            return Err(LzError::BadOffset { offset: off_at });
-        }
-        let mut mlen = (token & 0x0f) as usize + MIN_MATCH;
-        if mlen == 15 + MIN_MATCH {
-            mlen = c.len_ext(mlen, expected)?;
-        }
-        if out.len() + mlen > end_len {
-            return Err(LzError::TooLong { offset: c.pos });
-        }
-        copy_match(out, off, mlen);
-    }
+    let mut d = Decompressor::new(expected);
+    d.decode(src, out, usize::MAX)?;
+    d.finish()
 }
 
 /// Append the `len`-byte back-reference at distance `off` (checked:
@@ -731,5 +866,140 @@ mod tests {
         assert!(decompress(&packed, 999).is_err(), "undershoot accepted");
         assert!(decompress(&packed, 1001).is_err(), "overshoot accepted");
         assert_eq!(decompress(&packed, 1000).expect("exact"), data);
+    }
+
+    /// Decode `src` through a [`Decompressor`] fed in pieces of the `cuts`
+    /// lengths (cycled; an empty `cuts` feeds one piece), taking at most
+    /// `chunk` bytes of output per call and keeping only a [`MAX_OFFSET`]
+    /// history between calls, as a streaming reader does.
+    fn decompress_split(
+        src: &[u8],
+        expected: usize,
+        cuts: &[usize],
+        chunk: usize,
+    ) -> Result<Vec<u8>, LzError> {
+        let mut d = Decompressor::new(expected);
+        let (mut window, mut out) = (Vec::new(), Vec::new());
+        let mut pieces = Vec::new();
+        let mut rest = src;
+        for &n in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(n.min(rest.len()));
+            pieces.push(head);
+            rest = tail;
+        }
+        pieces.push(rest);
+        for mut piece in pieces {
+            loop {
+                let before = window.len();
+                let used = d.decode(piece, &mut window, chunk)?;
+                let made = window.len() - before;
+                assert!(made <= chunk, "{made} bytes out of a {chunk}-byte call");
+                out.extend_from_slice(&window[before..]);
+                piece = &piece[used..];
+                if window.len() > MAX_OFFSET {
+                    window.drain(..window.len() - MAX_OFFSET);
+                }
+                if made < chunk && piece.is_empty() {
+                    break;
+                }
+            }
+        }
+        d.finish()?;
+        Ok(out)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_decode_matches_one_shot_at_any_split_and_chunk(
+            kind in 0u8..3,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+            runs in proptest::collection::vec((0u8..3, 1usize..3000), 0..60),
+            records in 0usize..6000,
+            body in 1usize..300,
+            cuts in proptest::collection::vec(1usize..2000, 0..8),
+            chunk in 1usize..5000,
+            flip_at in proptest::prelude::any::<usize>(),
+            flip_bits in proptest::prelude::any::<u8>(),
+        ) {
+            let data: Vec<u8> = match kind {
+                0 => noise,
+                1 => runs.iter().flat_map(|&(b, n)| std::iter::repeat_n(b, n)).collect(),
+                _ => trace_like(records, body, records as u64),
+            };
+            let mut packed = compress(&data);
+            let want = decompress(&packed, data.len());
+            assert_eq!(want.as_ref(), Ok(&data));
+            assert_eq!(decompress_split(&packed, data.len(), &cuts, chunk), want);
+            assert_eq!(decompress_split(&packed, data.len(), &[1], chunk), want);
+            // A corrupted stream fails (or decodes) identically.
+            let at = flip_at % packed.len();
+            packed[at] ^= flip_bits | 1;
+            let want = decompress(&packed, data.len());
+            assert_eq!(decompress_split(&packed, data.len(), &cuts, chunk), want);
+        }
+    }
+
+    #[test]
+    fn streamed_decode_keeps_a_window_across_long_matches() {
+        // Far repeats, long runs and literal runs longer than a chunk.
+        let block: Vec<u8> = trace_like(3_000, 97, 5);
+        let mut data = block.clone();
+        data.extend_from_slice(&vec![4u8; 200_000]);
+        data.extend_from_slice(&trace_like(20_000, 1, 9).iter().map(|b| b.wrapping_mul(31)).collect::<Vec<_>>());
+        data.extend_from_slice(&block);
+        let packed = compress(&data);
+        for (cuts, chunk) in [(&[1usize][..], 1usize), (&[7, 4093], 100), (&[], 1 << 16), (&[65_536], 3)] {
+            assert_eq!(
+                decompress_split(&packed, data.len(), cuts, chunk).expect("decodes"),
+                data,
+                "cuts {cuts:?}, chunk {chunk}"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_decode_types_every_truncation_bad_offset_and_overrun() {
+        let data = b"abcdefgh abcdefgh abcdefgh tail".repeat(20);
+        let packed = compress(&data);
+        // Every truncation: the input stops before the stream's end.
+        for len in 0..packed.len() {
+            let got = decompress_split(&packed[..len], data.len(), &[3], 7);
+            assert!(
+                matches!(got, Err(LzError::Truncated { .. } | LzError::ShortOutput { .. })),
+                "prefix {len}: {got:?}"
+            );
+            assert_eq!(got, decompress(&packed[..len], data.len()), "prefix {len}");
+        }
+        // A back-reference before the start, and a zero offset.
+        for off in [0usize, 1, 9] {
+            let mut stream = Vec::new();
+            put_sequence(&mut stream, b"abcdefgh", Some((8, MIN_MATCH)));
+            stream.extend_from_slice(&[0x00, off as u8, 0]);
+            put_sequence(&mut stream, b"", None);
+            let got = decompress_split(&stream, 100, &[1], 1);
+            if off == 0 || off > 12 {
+                assert!(matches!(got, Err(LzError::BadOffset { .. })), "off {off}: {got:?}");
+            }
+            assert_eq!(got, decompress(&stream, 100), "off {off}");
+        }
+        let mut stream = Vec::new();
+        put_sequence(&mut stream, b"", Some((1, MIN_MATCH)));
+        assert_eq!(decompress_split(&stream, 4, &[1], 1), Err(LzError::BadOffset { offset: 1 }));
+        // Too long: a declared size one short, and bytes after the end.
+        assert!(matches!(
+            decompress_split(&packed, data.len() - 1, &[5], 64),
+            Err(LzError::TooLong { .. })
+        ));
+        let mut longer = packed.clone();
+        longer.extend_from_slice(&packed);
+        let got = decompress_split(&longer, data.len(), &[5], 64);
+        assert!(matches!(got, Err(LzError::TooLong { .. } | LzError::BadOffset { .. })), "{got:?}");
+        // A hostile 255-chain stops at the declared size, not at its end.
+        let mut chain = vec![0xf0];
+        chain.extend(std::iter::repeat_n(255u8, 10_000));
+        assert!(matches!(decompress_split(&chain, 1_000, &[2], 9), Err(LzError::TooLong { .. })));
     }
 }
