@@ -13,7 +13,7 @@
 //!   (the §5.3.2 "no penalty on hits" structure).
 //! * `uop_pipeline/*` — the batched trace pipeline itself: the
 //!   interpreter dispatch loop feeding a discarding sink (the warm-up
-//!   configuration) and `CoreSim::emit_batch` replay, both reported in
+//!   configuration) and CoreSim replay one slice per call, both reported in
 //!   µops/sec via the shim's `Throughput::Elements` support.
 
 use checkelide_bench::{find, run_benchmark, sim_config, RunConfig};
@@ -187,7 +187,8 @@ fn uop_pipeline(c: &mut Criterion) {
     });
 
     // The consumer side: replaying the recorded trace into the cycle
-    // model one `emit_batch` call per BATCH_CAPACITY µops.
+    // model one `emit_batch` call per BATCH_CAPACITY µops (CoreSim takes
+    // the trait default, so this times its one per-µop walk).
     g.throughput(Throughput::Elements(uops));
     g.bench_function("coresim_emit_batch", |bench| {
         bench.iter(|| {

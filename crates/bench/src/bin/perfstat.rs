@@ -1,5 +1,6 @@
 //! Simulation-throughput measurement: how fast does the harness retire
-//! µops, and what did batching buy?
+//! µops, and how much does handing a consumer whole slices save over one
+//! `dyn` call per µop?
 //!
 //! Three probes, written to `results/BENCH_perf.json`:
 //!
@@ -10,7 +11,8 @@
 //!   one `dyn` call per [`BATCH_CAPACITY`] slice
 //!   ([`TraceSink::emit_batch`]). The ratio isolates the virtual dispatch
 //!   and per-call bookkeeping that batching amortizes, for both a cheap
-//!   consumer ([`CounterSink`]) and the cycle model ([`CoreSim`]). A
+//!   consumer ([`CounterSink`]) and the cycle model ([`CoreSim`], whose
+//!   one timing walk runs per µop behind either interface). A
 //!   secondary *stream* probe replays the full trace once per pass — the
 //!   memory-bound regime, where both interfaces converge on bandwidth.
 //! * **codec** — the binary trace codec: encode throughput, the on-disk
@@ -39,8 +41,9 @@
 //! With `--floor FILE` the run doubles as a CI regression gate: FILE is a
 //! previously recorded `BENCH_perf.json` (the committed copy lives at
 //! `golden/perf_baseline.json`), and the run fails when the measured
-//! CoreSim batched-replay throughput drops below `--floor-mult` (default
-//! 0.9, noise margin for shared runners) times the recorded number.
+//! CoreSim slice-replay throughput (`coresim_batched_mops`) drops below
+//! `--floor-mult` (default 0.9, noise margin for shared runners) times
+//! the recorded number.
 //! When the baseline carries the simcache section's `sim_hit_ratio`,
 //! the warm-path hit ratio is gated too (exactly — it is
 //! deterministic): a drop means the warm path silently re-simulates.
@@ -662,8 +665,8 @@ fn main() {
             .unwrap_or_else(|| panic!("--floor {path}: no coresim_batched_mops value"));
         let floor = base * mult;
         println!(
-            "== throughput floor ==\n  CoreSim batched {coresim_batched:.1} Mµops/s vs floor \
-             {floor:.1} Mµops/s ({mult:.2}x of recorded {base:.1})"
+            "== throughput floor ==\n  CoreSim slice replay {coresim_batched:.1} Mµops/s vs \
+             floor {floor:.1} Mµops/s ({mult:.2}x of recorded {base:.1})"
         );
         assert!(
             base > 0.0 && base.is_finite(),
@@ -671,8 +674,8 @@ fn main() {
         );
         if coresim_batched < floor {
             eprintln!(
-                "error: CoreSim batched replay regressed below the recorded floor \
-                 ({coresim_batched:.1} < {floor:.1} Mµops/s)"
+                "error: CoreSim slice replay (coresim_batched_mops) regressed below the \
+                 recorded floor ({coresim_batched:.1} < {floor:.1} Mµops/s)"
             );
             std::process::exit(1);
         }

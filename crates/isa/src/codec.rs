@@ -622,14 +622,6 @@ impl<W: Write> TraceSink for TraceWriter<W> {
         }
     }
 
-    fn emit_batch(&mut self, uops: &[Uop]) {
-        if self.err.is_none() {
-            for u in uops {
-                self.encode(u);
-            }
-        }
-    }
-
     fn finish(&mut self) {
         // Frames must not be left open between iterations; flush so the
         // file is frame-complete at every sink boundary. The trailer is
@@ -864,8 +856,8 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    /// Replay the whole trace into `sink` via `emit_batch`, returning the
-    /// number of µops replayed.
+    /// Replay the whole trace into `sink`, one `emit_batch` call per
+    /// decoded frame, returning the number of µops replayed.
     ///
     /// When the sink discards everything ([`TraceSink::discards_all`]),
     /// frames are skipped without decoding — replay then runs at I/O
@@ -880,34 +872,8 @@ impl<R: Read> TraceReader<R> {
             }
             return Ok(self.decoded);
         }
-        // Frames are written at [`BATCH_CAPACITY`], but writer flushes at
-        // sink boundaries can leave short frames mid-file. Coalesce those
-        // through a staging buffer so the consumer always sees
-        // full-capacity batches: batch boundaries are semantically inert
-        // (pinned by the uarch equivalence suites), and full batches
-        // amortize the per-call setup of batched consumers such as the
-        // timing model's structure-of-arrays walk. Full frames with an
-        // empty stage — the entire steady state of a real trace — are
-        // handed through without a copy.
-        let mut stage: Vec<Uop> = Vec::new();
         while let Some(frame) = self.next_frame()? {
-            if stage.is_empty() && frame.len() == BATCH_CAPACITY {
-                sink.emit_batch(frame);
-                continue;
-            }
-            let mut rest = frame;
-            while !rest.is_empty() {
-                let take = (BATCH_CAPACITY - stage.len()).min(rest.len());
-                stage.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if stage.len() == BATCH_CAPACITY {
-                    sink.emit_batch(&stage);
-                    stage.clear();
-                }
-            }
-        }
-        if !stage.is_empty() {
-            sink.emit_batch(&stage);
+            sink.emit_batch(frame);
         }
         Ok(self.decoded)
     }
@@ -1029,10 +995,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_coalesces_short_frames_into_full_batches() {
+    fn replay_across_short_frames_preserves_stream() {
         // Writer flushes at sink boundaries leave short frames mid-file;
-        // replay must still hand the consumer full-capacity batches (plus
-        // one short tail), without perturbing the µop stream.
+        // replay must hand the consumer every µop in order across them.
         let trace = sample_trace();
         let mut w = TraceWriter::new(Vec::new()).expect("vec");
         for chunk in trace.chunks(100) {
@@ -1042,28 +1007,10 @@ mod tests {
         let (bytes, stats) = w.finish_file().expect("vec");
         assert_eq!(stats.uops, trace.len() as u64);
 
-        struct BatchSizes(Vec<usize>, Vec<Uop>);
-        impl TraceSink for BatchSizes {
-            fn emit(&mut self, u: &Uop) {
-                self.0.push(1);
-                self.1.push(*u);
-            }
-            fn emit_batch(&mut self, uops: &[Uop]) {
-                self.0.push(uops.len());
-                self.1.extend_from_slice(uops);
-            }
-        }
-        let mut s = BatchSizes(Vec::new(), Vec::new());
+        let mut s = VecSink::new();
         let mut r = TraceReader::new(&bytes[..]).expect("header");
         assert_eq!(r.replay(&mut s).expect("replays"), trace.len() as u64);
-        assert_eq!(s.1, trace, "coalescing must preserve the µop stream");
-        let (last, body) = s.0.split_last().expect("at least one batch");
-        assert!(
-            body.iter().all(|&n| n == BATCH_CAPACITY),
-            "every batch but the tail must be full: {:?}",
-            s.0
-        );
-        assert_eq!(*last, trace.len() % BATCH_CAPACITY);
+        assert_eq!(s.uops, trace, "short frames changed the stream");
     }
 
     /// Record `trace` with a [`TraceSink::finish`] after each prefix

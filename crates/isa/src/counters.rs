@@ -144,12 +144,9 @@ impl CounterSink {
     }
 }
 
-impl CounterSink {
-    /// The per-µop accounting step, shared by [`TraceSink::emit`] and
-    /// [`TraceSink::emit_batch`]. Kept `#[inline(always)]` so the batch
-    /// loop compiles to straight-line array arithmetic with no calls.
-    #[inline(always)]
-    fn tally(&mut self, uop: &Uop) {
+impl TraceSink for CounterSink {
+    #[inline]
+    fn emit(&mut self, uop: &Uop) {
         self.counts[uop.region.index()][uop.category.index()] += 1;
         match uop.provenance {
             Provenance::None => {}
@@ -159,23 +156,6 @@ impl CounterSink {
             Provenance::ElementsLoad => {
                 self.after_elements_load[uop.region.index()] += 1;
             }
-        }
-    }
-}
-
-impl TraceSink for CounterSink {
-    #[inline]
-    fn emit(&mut self, uop: &Uop) {
-        self.tally(uop);
-    }
-
-    /// One virtual call per batch; the tally loop is monomorphized here and
-    /// the bounds checks on the fixed-size count arrays vanish after
-    /// inlining.
-    #[inline]
-    fn emit_batch(&mut self, uops: &[Uop]) {
-        for u in uops {
-            self.tally(u);
         }
     }
 }

@@ -56,13 +56,10 @@ pub trait TraceSink {
 /// class-cache store sequences, well under 64 µops), small enough to stay
 /// resident in L1.
 ///
-/// This is also the batch size the rest of the pipeline standardizes on:
-/// the binary codec frames traces at this many µops, and its replay loop
-/// coalesces short frames so batched consumers (the timing model's
-/// structure-of-arrays walk in particular) see full-capacity slices in
-/// steady state. Batch *boundaries* carry no semantics — every consumer
-/// must produce identical results for any chunking of the same stream,
-/// an invariant pinned by the uarch equivalence suites.
+/// The binary codec also frames traces at this many µops. Batch
+/// *boundaries* carry no semantics — every consumer must produce
+/// identical results for any chunking of the same stream, an invariant
+/// pinned by the uarch equivalence suites.
 pub const BATCH_CAPACITY: usize = 256;
 
 /// Producer-side staging buffer that batches µops before crossing the

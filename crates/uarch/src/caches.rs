@@ -1,7 +1,7 @@
 //! Set-associative cache and TLB models with LRU replacement.
 //!
-//! Both structures are laid out for the structure-of-arrays batch pipeline
-//! in [`crate::core`]: the cache keeps all its lines in one flat array
+//! Both structures are laid out for cheap probes from the timing walk in
+//! [`crate::core`]: the cache keeps all its lines in one flat array
 //! (16 bytes per way, no per-set `Vec` indirection), and the TLB pairs its
 //! entry arrays with an open-addressing page→slot index so steady-state
 //! hits cost one hash probe instead of a linear scan of every entry — at

@@ -11,31 +11,20 @@
 //! advanced the completion frontier, giving the paper's "whole
 //! application" vs "optimized code" split (Figures 8 and 9).
 //!
-//! # Batched (structure-of-arrays) execution
+//! # One walk
 //!
-//! The model has two execution paths that produce bit-identical
-//! [`SimResult`]s:
-//!
-//! * the scalar walk ([`CoreSim::emit_one`], used by [`TraceSink::emit`]),
-//!   which interleaves cache probes and pipeline bookkeeping per µop, and
-//! * the batched walk (used by [`TraceSink::emit_batch`]), which splits a
-//!   256-µop slice into phases: extract fetch-line and data addresses into
-//!   flat arrays, sweep each cache/TLB over its address array, then run
-//!   the timing walk over precomputed hit/miss flags with every
-//!   `CoreConfig` field hoisted into locals.
-//!
-//! The split is exact because each structure (IL1, ITLB, DL1, DTLB, L2,
-//! predictor) depends only on its own access sequence — never on timing —
-//! and the per-structure sequences are preserved (the shared L2 merges
-//! instruction- and data-side fills back into µop order). The scalar path
-//! stays as the differential reference behind [`TraceSink::emit`]:
-//! `tests/batch_equiv.rs` and `tests/equiv_proptests.rs` pin full
-//! `SimResult` equality.
+//! Every µop is timed by [`CoreSim::emit_one`], which interleaves the
+//! cache, TLB and predictor probes with the pipeline bookkeeping. A slice
+//! handed over through [`TraceSink::emit_batch`] takes the trait default,
+//! one `emit_one` per µop, so how a trace is sliced into batches never
+//! changes a [`SimResult`]: `tests/batch_equiv.rs` and
+//! `tests/equiv_proptests.rs` pin that for per-µop, `BatchSink` and
+//! odd-sized delivery.
 
 use crate::caches::{BranchPredictor, Cache, CacheStats, Tlb};
 use crate::config::CoreConfig;
 use crate::energy::EnergyParams;
-use checkelide_isa::trace::{TraceSink, BATCH_CAPACITY};
+use checkelide_isa::trace::TraceSink;
 use checkelide_isa::uop::{Region, Uop, UopKind};
 
 /// Per-region accumulators.
@@ -53,8 +42,9 @@ pub struct RegionTotals {
 ///
 /// `PartialEq` compares every field (including the `f64` energy totals
 /// bit-for-bit via the derived impl), which is exactly what the
-/// batched-vs-per-µop equivalence tests need: batching must not perturb a
-/// single count or a single floating-point accumulation.
+/// delivery-granularity equivalence tests need: slicing a trace into
+/// batches must not perturb a single count or a single floating-point
+/// accumulation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// Total cycles.
@@ -185,51 +175,6 @@ impl TimeRing {
     }
 }
 
-// Per-µop hit/miss flags computed by the probe phases of the batched walk
-// and consumed by its timing phase.
-const F_NEWLINE: u16 = 1 << 0;
-const F_ITLB_MISS: u16 = 1 << 1;
-const F_IL1_MISS: u16 = 1 << 2;
-const F_IL2_MISS: u16 = 1 << 3;
-const F_DTLB_MISS: u16 = 1 << 4;
-const F_DL1_MISS: u16 = 1 << 5;
-const F_DL2_MISS: u16 = 1 << 6;
-const F_MISPRED: u16 = 1 << 7;
-
-/// Structure-of-arrays scratch for one batch: flat address/index arrays
-/// the probe sweeps run over. Held in the simulator so its allocations
-/// are reused across batches.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Per-µop flag word (parallel to the batch slice).
-    flags: Vec<u16>,
-    /// Positions and PCs of µops that start a new 64 B fetch line.
-    fetch_idx: Vec<u32>,
-    fetch_pc: Vec<u64>,
-    /// Positions and addresses of µops with a data-memory reference.
-    mem_idx: Vec<u32>,
-    mem_addr: Vec<u64>,
-    /// IL1-miss fills and DL1-miss fills awaiting the merged L2 sweep.
-    l2i_idx: Vec<u32>,
-    l2i_addr: Vec<u64>,
-    l2d_idx: Vec<u32>,
-    l2d_addr: Vec<u64>,
-}
-
-impl BatchScratch {
-    fn clear(&mut self) {
-        self.flags.clear();
-        self.fetch_idx.clear();
-        self.fetch_pc.clear();
-        self.mem_idx.clear();
-        self.mem_addr.clear();
-        self.l2i_idx.clear();
-        self.l2i_addr.clear();
-        self.l2d_idx.clear();
-        self.l2d_addr.clear();
-    }
-}
-
 /// The timing simulator; feed it a µop trace via [`TraceSink`].
 pub struct CoreSim {
     config: CoreConfig,
@@ -263,7 +208,6 @@ pub struct CoreSim {
     src_wait: u64,
     window_wait: u64,
     mem_wait: u64,
-    batch: BatchScratch,
 }
 
 impl CoreSim {
@@ -298,11 +242,7 @@ impl CoreSim {
             fetch_stall: 0,
             window: TimeRing::new(config.window_size),
             mem_outstanding: TimeRing::new(config.outstanding_mem),
-            // 2^16 token slots plus one spill slot: the batched walk
-            // retires destination-less µops with an unconditional store
-            // to the spill slot (index 2^16) instead of a branch. The
-            // slot is never read — source lookups mask to 0..2^16.
-            ready: vec![(0, 0); (1 << 16) + 1],
+            ready: vec![(0, 0); 1 << 16],
             frontier: 0,
             uops: 0,
             regions: Default::default(),
@@ -310,7 +250,6 @@ impl CoreSim {
             src_wait: 0,
             window_wait: 0,
             mem_wait: 0,
-            batch: BatchScratch::default(),
         }
     }
 
@@ -440,17 +379,11 @@ impl CoreSim {
             mem_wait: self.mem_wait,
         }
     }
-}
 
-impl CoreSim {
-    /// Advance the pipeline model by one retired µop — the scalar
-    /// reference walk (fetch, window, operands, memory, branch, frontier
-    /// attribution).
-    ///
-    /// The batched walk in [`CoreSim::emit_batch_chunk`] reproduces this
-    /// arithmetic — including the order of the `dynamic_pj` floating-point
-    /// accumulations — bit for bit; equivalence is pinned by
-    /// `tests/batch_equiv.rs` and `tests/equiv_proptests.rs`.
+    /// Advance the pipeline model by one retired µop (fetch, window,
+    /// operands, memory, branch, frontier attribution). The only timing
+    /// walk: [`TraceSink::emit`] and the default [`TraceSink::emit_batch`]
+    /// both land here.
     #[inline]
     #[allow(clippy::cast_possible_truncation)]
     fn emit_one(&mut self, uop: &Uop) {
@@ -576,336 +509,12 @@ impl CoreSim {
         }
         self.regions[region].dynamic_pj += energy;
     }
-
-    /// The batched structure-of-arrays walk over one ≤256-µop slice.
-    ///
-    /// Phase A extracts the fetch-line and data-address streams (and runs
-    /// the branch predictor); phases B–F sweep each cache/TLB over its
-    /// flat address array, recording hit/miss outcomes as per-µop flag
-    /// bits; phase G replays the scalar timing arithmetic over the flags
-    /// with all configuration and energy constants hoisted into locals.
-    ///
-    /// Exactness: every structure's access sequence (and therefore its
-    /// LRU state, tick stream and statistics) is identical to the scalar
-    /// interleaving, because no probe outcome feeds back into which
-    /// addresses are probed. The shared L2 is the only structure fed from
-    /// two streams; phase F merges its instruction- and data-side fills
-    /// back into µop order (instruction before data on the same µop, as
-    /// the scalar walk orders them).
-    #[allow(clippy::cast_possible_truncation)]
-    fn emit_batch_chunk(&mut self, uops: &[Uop]) {
-        let mut s = std::mem::take(&mut self.batch);
-        s.clear();
-        s.flags.resize(uops.len(), 0);
-        // Phase A: extract the address streams and probe the branch
-        // predictor (its state stream is independent of every other
-        // structure's).
-        let mut last_line = self.last_fetch_line;
-        for (i, (u, f)) in uops.iter().zip(s.flags.iter_mut()).enumerate() {
-            let line = u.pc >> 6;
-            if line != last_line {
-                last_line = line;
-                *f |= F_NEWLINE;
-                s.fetch_idx.push(i as u32);
-                s.fetch_pc.push(u.pc);
-            }
-            if let Some(m) = u.mem {
-                s.mem_idx.push(i as u32);
-                s.mem_addr.push(m.addr);
-            }
-            if u.kind == UopKind::Branch && self.predictor.access(u.pc, u.taken) {
-                *f |= F_MISPRED;
-            }
-        }
-        self.last_fetch_line = last_line;
-
-        // Phases B/C: ITLB and IL1 sweeps over the new-line PCs; IL1
-        // misses queue an L2 instruction fill.
-        for (&i, &pc) in s.fetch_idx.iter().zip(&s.fetch_pc) {
-            if !self.itlb.access(pc) {
-                s.flags[i as usize] |= F_ITLB_MISS;
-            }
-        }
-        for (&i, &pc) in s.fetch_idx.iter().zip(&s.fetch_pc) {
-            if !self.il1.access(pc) {
-                s.flags[i as usize] |= F_IL1_MISS;
-                s.l2i_idx.push(i);
-                s.l2i_addr.push(pc);
-            }
-        }
-        // Phases D/E: DTLB and DL1 sweeps over the data addresses; DL1
-        // misses queue an L2 data fill.
-        for (&i, &a) in s.mem_idx.iter().zip(&s.mem_addr) {
-            if !self.dtlb.access(a) {
-                s.flags[i as usize] |= F_DTLB_MISS;
-            }
-        }
-        for (&i, &a) in s.mem_idx.iter().zip(&s.mem_addr) {
-            if !self.dl1.access(a) {
-                s.flags[i as usize] |= F_DL1_MISS;
-                s.l2d_idx.push(i);
-                s.l2d_addr.push(a);
-            }
-        }
-        // Phase F: merged L2 sweep in µop order, instruction fill first
-        // on a µop that misses both ways.
-        {
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < s.l2i_idx.len() || j < s.l2d_idx.len() {
-                let take_ifetch = match (s.l2i_idx.get(i), s.l2d_idx.get(j)) {
-                    (Some(&a), Some(&b)) => a <= b,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if take_ifetch {
-                    if !self.l2.access(s.l2i_addr[i]) {
-                        s.flags[s.l2i_idx[i] as usize] |= F_IL2_MISS;
-                    }
-                    i += 1;
-                } else {
-                    if !self.l2.access(s.l2d_addr[j]) {
-                        s.flags[s.l2d_idx[j] as usize] |= F_DL2_MISS;
-                    }
-                    j += 1;
-                }
-            }
-        }
-
-        // Phase G: the timing walk over precomputed flags.
-        let issue_width = self.config.issue_width;
-        let window_size = self.config.window_size;
-        let issue_queue = self.config.issue_queue;
-        let outstanding_mem = self.config.outstanding_mem;
-        let l1_latency = self.config.l1_latency;
-        let l2_latency = self.config.l2_latency;
-        let mem_latency = self.config.mem_latency;
-        let tlb_miss_penalty = self.config.tlb_miss_penalty;
-        let mispredict_penalty = self.config.mispredict_penalty;
-        let e_l1 = self.energy.l1_access;
-        let e_l2 = self.energy.l2_access;
-        let e_mem = self.energy.mem_access;
-        let e_tlb = self.energy.tlb_access;
-        let energy_tab = self.uop_energy_tab;
-        let lat_tab = self.exec_lat_tab;
-        let mut fetch_rem = self.fetch_rem;
-        let mut fetch_quot = self.fetch_quot;
-        let mut fetch_stall = self.fetch_stall;
-        let mut frontier = self.frontier;
-        let mut window_wait = self.window_wait;
-        let mut src_wait = self.src_wait;
-        let mut mem_wait = self.mem_wait;
-        // The per-region accumulators are seeded from the running totals,
-        // not zero, so the *sequence* of f64 additions is identical to
-        // the scalar walk's (f64 addition is not associative; a
-        // sum-then-add of a chunk-local partial would already diverge in
-        // the last bit).
-        let mut ru = [self.regions[0].uops, self.regions[1].uops, self.regions[2].uops];
-        let mut rc = [self.regions[0].cycles, self.regions[1].cycles, self.regions[2].cycles];
-        let mut pj = [
-            self.regions[0].dynamic_pj,
-            self.regions[1].dynamic_pj,
-            self.regions[2].dynamic_pj,
-        ];
-        // Window ring, inlined: cursor in registers, buffer as one slice.
-        let wcap = self.window.buf.len();
-        let wbuf: &mut [u64] = &mut self.window.buf;
-        let mut whead = self.window.head;
-        let mut wlen = self.window.len;
-        // Fixed-size view of the readiness array: the token mask then
-        // proves every index in range, eliding the bounds checks (the
-        // final slot is the unconditional-store spill for µops with no
-        // destination).
-        let ready: &mut [(u32, u64); (1 << 16) + 1] =
-            (&mut self.ready[..]).try_into().expect("ready array is 2^16 + 1 entries");
-
-        // Precomputed energy pairs (each the same single f64 addition the
-        // scalar walk performs).
-        let e_fetch = e_l1 + e_tlb;
-        let e_data = e_tlb + e_l1;
-
-        for (u, &f) in uops.iter().zip(s.flags.iter()) {
-            let region = u.region.index();
-            ru[region] += 1;
-            let mut energy = energy_tab[u.kind.index()];
-
-            // Fetch side. The new-line test is data-dependent and far too
-            // frequent to predict, so the hit path (overwhelmingly common)
-            // charges the fetch energy with a select instead of a branch;
-            // only actual ITLB/IL1 misses take the stall branch.
-            if f & (F_ITLB_MISS | F_IL1_MISS) == 0 {
-                energy += if f & F_NEWLINE != 0 { e_fetch } else { 0.0 };
-            } else {
-                energy += e_fetch;
-                let mut stall = 0;
-                if f & F_ITLB_MISS != 0 {
-                    stall += tlb_miss_penalty;
-                }
-                if f & F_IL1_MISS != 0 {
-                    stall += l2_latency;
-                    energy += e_l2;
-                    if f & F_IL2_MISS != 0 {
-                        stall += mem_latency;
-                        energy += e_mem;
-                    }
-                }
-                fetch_stall += stall;
-            }
-            fetch_rem += 1;
-            if fetch_rem == issue_width {
-                fetch_rem = 0;
-                fetch_quot += 1;
-            }
-            let fetch = fetch_quot + fetch_stall;
-            let mut dispatch = fetch;
-
-            if wlen >= issue_queue {
-                let ix = whead + (wlen - issue_queue);
-                let ix = if ix >= wcap { ix - wcap } else { ix };
-                dispatch = dispatch.max(wbuf[ix]);
-            }
-            if wlen >= window_size {
-                let head = wbuf[whead];
-                whead += 1;
-                if whead == wcap {
-                    whead = 0;
-                }
-                wlen -= 1;
-                dispatch = dispatch.max(head);
-            }
-            window_wait += dispatch - fetch;
-
-            let mut start = dispatch;
-            // Branch-free: a NONE source masks to slot 0, whose stored
-            // token can never equal the NONE token under the `src != 0`
-            // guard.
-            for src in u.srcs {
-                let (tok, t) = ready[(src.0 & 0xFFFF) as usize];
-                if src.0 != 0 && tok == src.0 {
-                    start = start.max(t);
-                }
-            }
-            src_wait += start - dispatch;
-
-            // Data side, same structure: the has-mem test is
-            // data-dependent, so the all-hit path (DTLB and DL1 hits,
-            // where the data latency is the L1 latency and stores retire
-            // in one cycle) folds into selects; only actual misses —
-            // which are also the only µops that can occupy an MSHR —
-            // take the branch.
-            let mut latency = lat_tab[u.kind.index()];
-            let (has_mem, is_store) = match u.mem {
-                Some(m) => (true, m.is_store),
-                None => (false, false),
-            };
-            if f & (F_DTLB_MISS | F_DL1_MISS) == 0 {
-                energy += if has_mem { e_data } else { 0.0 };
-                if has_mem {
-                    latency = if is_store { 1 } else { l1_latency };
-                }
-            } else {
-                let mut me = e_data;
-                let mut mem_lat = l1_latency;
-                if f & F_DTLB_MISS != 0 {
-                    mem_lat += tlb_miss_penalty;
-                    me += e_l2;
-                }
-                if f & F_DL1_MISS != 0 {
-                    mem_lat += l2_latency;
-                    me += e_l2;
-                    if f & F_DL2_MISS != 0 {
-                        mem_lat += mem_latency;
-                        me += e_mem;
-                    }
-                }
-                energy += me;
-                if is_store {
-                    latency = 1;
-                } else {
-                    latency = mem_lat;
-                    // Zero-penalty configurations can miss without
-                    // exceeding the L1 latency, so the MSHR condition is
-                    // still checked explicitly.
-                    if mem_lat > l1_latency {
-                        let pre = start;
-                        while let Some(front) = self.mem_outstanding.front() {
-                            if front <= start {
-                                self.mem_outstanding.pop_front();
-                            } else if self.mem_outstanding.len() >= outstanding_mem {
-                                let fr = self.mem_outstanding.pop_front();
-                                start = start.max(fr);
-                            } else {
-                                break;
-                            }
-                        }
-                        mem_wait += start - pre;
-                        self.mem_outstanding.push_back(start + mem_lat);
-                    }
-                }
-            }
-
-            let complete = start + latency;
-            // Unconditional retire of the destination token: µops with
-            // no destination write the spill slot (index 2^16).
-            let d = u.dst.0;
-            let dix = if d == 0 { 1 << 16 } else { (d & 0xFFFF) as usize };
-            ready[dix] = (d, complete);
-            debug_assert!(wlen < wcap, "ring overflow");
-            let tail = whead + wlen;
-            let tail = if tail >= wcap { tail - wcap } else { tail };
-            wbuf[tail] = complete;
-            wlen += 1;
-            debug_assert!(wlen <= window_size, "window capacity exceeded");
-
-            if f & F_MISPRED != 0 {
-                fetch_stall += mispredict_penalty;
-                let cur = fetch_quot + fetch_stall;
-                if complete > cur {
-                    fetch_stall += (complete - cur).min(mispredict_penalty);
-                }
-            }
-
-            // Frontier advance, branch-free: the advance happens about
-            // once per IPC µops on a data-dependent pattern, the worst
-            // case for a predictor. Adding a zero advance is exact
-            // (integer), so no branch is needed.
-            rc[region] += complete.saturating_sub(frontier);
-            frontier = frontier.max(complete);
-            pj[region] += energy;
-        }
-
-        self.window.head = whead;
-        self.window.len = wlen;
-        for r in 0..3 {
-            self.regions[r].uops = ru[r];
-            self.regions[r].cycles = rc[r];
-            self.regions[r].dynamic_pj = pj[r];
-        }
-        self.uops += uops.len() as u64;
-        self.fetch_count += uops.len() as u64;
-        self.fetch_rem = fetch_rem;
-        self.fetch_quot = fetch_quot;
-        self.fetch_stall = fetch_stall;
-        self.frontier = frontier;
-        self.window_wait = window_wait;
-        self.src_wait = src_wait;
-        self.mem_wait = mem_wait;
-
-        self.batch = s;
-    }
 }
 
 impl TraceSink for CoreSim {
     #[inline]
     fn emit(&mut self, uop: &Uop) {
         self.emit_one(uop);
-    }
-
-    /// Run the structure-of-arrays walk over the slice (in ≤256-µop
-    /// chunks, so the scratch arrays stay L1-resident).
-    fn emit_batch(&mut self, uops: &[Uop]) {
-        for chunk in uops.chunks(BATCH_CAPACITY) {
-            self.emit_batch_chunk(chunk);
-        }
     }
 }
 
@@ -1127,10 +736,10 @@ mod tests {
     }
 
     #[test]
-    fn emit_batch_matches_scalar_on_mixed_trace() {
+    fn emit_batch_matches_per_uop_on_mixed_trace() {
         // In-module smoke check (the heavyweight equivalence suites live
-        // in tests/): a mixed synthetic trace, scalar vs batched at two
-        // different chunkings.
+        // in tests/): a mixed synthetic trace delivered per µop, as one
+        // slice and in odd-sized chunks.
         let mut trace = Vec::new();
         let mut prev = Tok(1);
         for i in 0..4_000u64 {
@@ -1147,17 +756,17 @@ mod tests {
             trace.push(u);
             prev = dst;
         }
-        let mut scalar = sim();
+        let mut per_uop = sim();
         for u in &trace {
-            scalar.emit(u);
+            per_uop.emit(u);
         }
-        let mut batched = sim();
-        batched.emit_batch(&trace);
+        let mut whole = sim();
+        whole.emit_batch(&trace);
         let mut odd = sim();
         for chunk in trace.chunks(97) {
             odd.emit_batch(chunk);
         }
-        assert_eq!(scalar.result(), batched.result());
-        assert_eq!(scalar.result(), odd.result());
+        assert_eq!(per_uop.result(), whole.result());
+        assert_eq!(per_uop.result(), odd.result());
     }
 }

@@ -1,25 +1,24 @@
-//! Sink-equivalence regression test for the batched trace pipeline.
+//! Delivery-granularity regression test for the trace pipeline.
 //!
-//! The batching rework ([`TraceSink::emit_batch`] + the producer-side
-//! `BatchSink` staging buffer) must be a pure interface optimization: for
-//! the same µop sequence, batched and per-µop consumption have to produce
-//! bit-identical statistics in every consumer. This test records a real
-//! program trace through the full engine stack (both execution tiers,
-//! inline caches, GC-free steady state) and replays it into fresh
-//! [`CounterSink`] and [`CoreSim`] pairs through both interfaces,
-//! asserting identical [`SimResult`]s and counter totals. A third replay
-//! goes through the producer-side [`BatchSink`] wrapper (arbitrary flush
-//! boundaries from capacity-triggered auto-flushes), which must also be
-//! equivalent.
+//! How a µop stream reaches a consumer — one [`TraceSink::emit`] per µop,
+//! [`TraceSink::emit_batch`] slices of any size, or the producer-side
+//! `BatchSink` staging buffer — must not change a single statistic. This
+//! test records a real program trace through the full engine stack (both
+//! execution tiers, inline caches, GC-free steady state) and delivers it
+//! to fresh [`CounterSink`] and [`CoreSim`] pairs per µop, in capacity
+//! chunks, in odd 97-µop chunks and through [`BatchSink`] (arbitrary flush
+//! boundaries from capacity-triggered auto-flushes), asserting identical
+//! [`SimResult`]s and counter totals.
 //!
 //! The same property must hold through the binary trace codec: recording
 //! the live trace with [`TraceWriter`] and streaming it back with
-//! [`TraceReader::replay`] has to reproduce bit-identical consumer state
-//! — that equivalence is what lets the bench trace cache substitute a
-//! recorded trace for a re-execution.
+//! [`TraceReader::replay`] — one batch per frame, short frames included —
+//! has to reproduce bit-identical consumer state. That equivalence is what
+//! lets the bench trace cache substitute a recorded trace for a
+//! re-execution.
 
 use checkelide_engine::{EngineConfig, Mechanism, Vm};
-use checkelide_isa::codec::{decode_trace, encode_trace, TraceReader};
+use checkelide_isa::codec::{decode_trace, encode_trace, TraceReader, TraceWriter};
 use checkelide_isa::trace::VecSink;
 use checkelide_isa::uop::{Category, Region, Uop};
 use checkelide_isa::{BatchSink, CounterSink, NullSink, TraceSink, BATCH_CAPACITY};
@@ -212,6 +211,30 @@ fn codec_replay_is_equivalent_to_live_consumption() {
         replay_sim.result(),
         "SimResult (cycles, energy, caches, TLBs, branches) must be \
          identical between live consumption and codec replay"
+    );
+
+    // Short frames mid-file (a writer `finish` at uneven points, as
+    // between measured iterations): replay hands each frame over as it
+    // is, and the result must not move.
+    let mut w = TraceWriter::new(Vec::new()).expect("vec");
+    let mut at = 0;
+    let cuts = [13, 13, 300, 301, 777, 2_000];
+    for end in cuts.into_iter().filter(|&e| e < trace.len()) {
+        w.emit_batch(&trace[at..end]);
+        w.finish();
+        at = end;
+    }
+    w.emit_batch(&trace[at..]);
+    let (short, _) = w.finish_file().expect("vec");
+    assert_ne!(short, bytes, "the uneven finishes must cut short frames");
+    let mut short_sim = CoreSim::new(CoreConfig::nehalem());
+    let mut rd = TraceReader::new(std::io::Cursor::new(&short[..])).expect("header");
+    let n = rd.replay(&mut short_sim).expect("replay");
+    assert_eq!(n, trace.len() as u64);
+    assert_eq!(
+        live_result,
+        short_sim.result(),
+        "short mid-file frames must not change the SimResult"
     );
 
     // NullSink fast path still validates framing and counts every µop.

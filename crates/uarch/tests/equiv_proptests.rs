@@ -1,14 +1,14 @@
-//! Property-based batched-vs-scalar equivalence for [`CoreSim`].
+//! Property-based delivery-granularity equivalence for [`CoreSim`].
 //!
 //! `tests/batch_equiv.rs` pins the equivalence on one real engine trace
 //! under the Table 2 configuration. This file widens the net: for
 //! arbitrary valid [`CoreConfig`]s (including degenerate ones — one-entry
 //! windows, zero-cycle latencies, zero miss penalties, tiny TLBs) and
-//! arbitrary µop traces, the scalar walk and the batched walk must
+//! arbitrary µop traces, delivering the trace per µop or in batches must
 //! produce bit-identical [`SimResult`]s — every count and every `f64`
 //! energy accumulation, via the derived `PartialEq`. Batch boundaries
 //! (256-µop capacity chunks and deliberately odd 61-µop chunks) must not
-//! matter either.
+//! matter.
 //!
 //! The trace generator skews toward engine-like streams: small PC and
 //! address pools so caches see a hit/miss mix, and a small token pool so
@@ -41,7 +41,7 @@ const REGIONS: [Region; 3] = [Region::Optimized, Region::Baseline, Region::Runti
 
 /// A small but legal cache geometry: 1–16 sets, 1–4 ways, 64 B lines.
 /// Small enough that the generated address pools overflow it (so the
-/// miss flag paths run), legal per [`CoreConfig::validate`].
+/// miss paths run), legal per [`CoreConfig::validate`].
 fn arb_geometry() -> BoxedStrategy<CacheGeometry> {
     (0u32..5, 1usize..=4)
         .prop_map(|(sets_log, ways)| CacheGeometry {
@@ -54,8 +54,8 @@ fn arb_geometry() -> BoxedStrategy<CacheGeometry> {
 
 /// An arbitrary valid configuration. Every structural capacity goes down
 /// to its legal minimum of 1, and every latency/penalty down to 0 — the
-/// zero-penalty corner is where a `miss implies slow` shortcut in the
-/// batched walk would diverge from the scalar MSHR accounting.
+/// zero-penalty corner is where a `miss implies slow` shortcut would
+/// diverge from the MSHR accounting.
 fn arb_config() -> BoxedStrategy<CoreConfig> {
     (
         (1u64..=8, 1usize..=48, 1usize..=48, 1usize..=8),
@@ -127,7 +127,7 @@ fn arb_trace() -> BoxedStrategy<Vec<Uop>> {
     proptest::collection::vec(arb_uop(), 0..600).boxed()
 }
 
-fn run_scalar(config: CoreConfig, trace: &[Uop]) -> checkelide_uarch::SimResult {
+fn run_per_uop(config: CoreConfig, trace: &[Uop]) -> checkelide_uarch::SimResult {
     let mut sim = CoreSim::new(config);
     for u in trace {
         sim.emit(u);
@@ -147,16 +147,16 @@ fn run_batched(config: CoreConfig, trace: &[Uop], chunk: usize) -> checkelide_ua
 
 proptest! {
     #[test]
-    fn batched_walk_matches_scalar_for_arbitrary_configs(
+    fn batch_delivery_matches_per_uop_for_arbitrary_configs(
         config in arb_config(),
         trace in arb_trace(),
     ) {
         prop_assert!(config.validate().is_ok());
-        let scalar = run_scalar(config, &trace);
+        let per_uop = run_per_uop(config, &trace);
         let batched = run_batched(config, &trace, BATCH_CAPACITY);
-        prop_assert_eq!(&scalar, &batched, "capacity-chunk batching diverged");
+        prop_assert_eq!(&per_uop, &batched, "capacity-chunk batching diverged");
         let odd = run_batched(config, &trace, 61);
-        prop_assert_eq!(&scalar, &odd, "odd-chunk batching diverged");
-        prop_assert_eq!(scalar.uops, trace.len() as u64);
+        prop_assert_eq!(&per_uop, &odd, "odd-chunk batching diverged");
+        prop_assert_eq!(per_uop.uops, trace.len() as u64);
     }
 }
