@@ -58,6 +58,7 @@ static ALLOC: Counting = Counting;
 
 /// Trace-like synthetic µops, generated on the fly: a 61-µop loop body
 /// walking an array, with a data-dependent branch and drifting tokens.
+#[allow(dead_code)] // the engine-cell test runs a real kernel instead
 pub fn synthetic_uop(i: u64) -> Uop {
     let step = i % 61;
     let iter = i / 61;

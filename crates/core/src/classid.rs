@@ -38,7 +38,7 @@ impl ClassId {
 
     /// Reconstruct from a raw encoding, round-tripping [`ClassId::raw`]
     /// exactly (`0xFF` becomes [`ClassId::SMI`]). Crate-internal: used by
-    /// the dense load-stat tables to recover keys from array indices.
+    /// the load-stat pages and elements table to recover keys from indices.
     #[inline]
     pub(crate) fn from_raw_u8(raw: u8) -> ClassId {
         ClassId(raw)

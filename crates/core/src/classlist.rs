@@ -55,9 +55,10 @@ impl Default for ClassListEntry {
 }
 
 impl ClassListEntry {
-    /// Whether `pos` is initialized and still monomorphic.
+    /// Whether `pos` is initialized and still monomorphic. A line has 8
+    /// slots, so `pos >= 8` is never profiled and never monomorphic.
     pub fn is_monomorphic(&self, pos: u8) -> bool {
-        let bit = 1u8 << pos;
+        let Some(bit) = 1u8.checked_shl(pos.into()) else { return false };
         self.init_map & bit != 0 && self.valid_map & bit != 0
     }
 

@@ -11,28 +11,32 @@ use crate::classid::ClassId;
 use crate::classlist::{ClassList, ELEMENTS_SLOT};
 use std::collections::HashMap;
 
-/// Number of property positions tracked densely per (class, line). Engine
-/// call sites always pass `pos = offset % 8`, so 8 covers them all; wider
-/// positions (possible through the public API) spill to a side map.
-const DENSE_POS: usize = 8;
-/// Dense table size: 256 classes x 256 lines x [`DENSE_POS`] positions.
-const DENSE_LEN: usize = 256 * 256 * DENSE_POS;
+/// Number of property positions tracked in pages per (class, line).
+/// Engine call sites always pass `pos = offset % 8`, so 8 covers them all;
+/// wider positions (possible through the public API) spill to a side map.
+const PAGE_POS: usize = 8;
+/// Counters per holder-class page: 256 lines x [`PAGE_POS`] positions
+/// (16 KiB).
+const PAGE_LEN: usize = 256 * PAGE_POS;
+
+/// One holder class's named-property counters, indexed `line << 3 | pos`.
+type Page = [u64; PAGE_LEN];
 
 /// Per-slot dynamic load counters.
 ///
 /// Recording runs on every profiled object load — the hottest profiling
-/// path in a characterization run — so the counters are a flat dense
-/// table indexed by `(class, line, pos)` rather than a hash map: one add
-/// with no hashing. The table is allocated lazily (and zero-filled by the
-/// allocator, so untouched pages stay unmapped); classification walks it
-/// once at the end of the run.
+/// path in a characterization run — so named-property counters live in
+/// flat per-class pages indexed by `(line, pos)` rather than a hash map:
+/// one add with no hashing. A page is allocated on the first load from
+/// its holder class, so a run holds 16 KiB per class it loads from, not
+/// a table sized for all 256 classes; classification walks the allocated
+/// pages once at the end of the run.
 #[derive(Debug, Default, Clone)]
 pub struct LoadAccessStats {
-    /// Dense named-property load counts, indexed by
-    /// `class << 11 | line << 3 | pos` (`pos < DENSE_POS`). Empty until
-    /// the first record.
-    property_dense: Vec<u64>,
-    /// Named-property loads whose `pos >= DENSE_POS` (unreachable from
+    /// Named-property load counts (`pos < PAGE_POS`), one optional page
+    /// per holder class. Empty until the first record, then 256 slots.
+    property_pages: Vec<Option<Box<Page>>>,
+    /// Named-property loads whose `pos >= PAGE_POS` (unreachable from
     /// the engine, but the API accepts any `u8`).
     property_spill: HashMap<(ClassId, u8, u8), u64>,
     /// Loads from elements arrays, indexed by holder class.
@@ -66,10 +70,10 @@ impl LoadAccessStats {
         LoadAccessStats::default()
     }
 
-    /// Reset counters (steady-state boundary). Drops the dense tables;
-    /// they are re-allocated (zeroed by the allocator) on first use.
+    /// Reset counters (steady-state boundary). Drops the pages and the
+    /// elements table; they are re-allocated on first use.
     pub fn reset(&mut self) {
-        self.property_dense = Vec::new();
+        self.property_pages = Vec::new();
         self.property_spill.clear();
         self.elements_loads = Vec::new();
     }
@@ -77,12 +81,13 @@ impl LoadAccessStats {
     /// Record a named-property load from `(holder, line, pos)`.
     #[inline]
     pub fn record_property_load(&mut self, holder: ClassId, line: u8, pos: u8) {
-        if (pos as usize) < DENSE_POS {
-            if self.property_dense.is_empty() {
-                self.property_dense = vec![0; DENSE_LEN];
+        if (pos as usize) < PAGE_POS {
+            if self.property_pages.is_empty() {
+                self.property_pages.resize_with(256, || None);
             }
-            let ix = (holder.raw() as usize) << 11 | (line as usize) << 3 | pos as usize;
-            self.property_dense[ix] += 1;
+            let page = self.property_pages[holder.raw() as usize]
+                .get_or_insert_with(|| Box::new([0; PAGE_LEN]));
+            page[(line as usize) << 3 | pos as usize] += 1;
         } else {
             *self.property_spill.entry((holder, line, pos)).or_insert(0) += 1;
         }
@@ -97,12 +102,16 @@ impl LoadAccessStats {
         self.elements_loads[holder.raw() as usize] += 1;
     }
 
-    /// Visit every nonzero named-property counter as `((class, line, pos), n)`.
+    /// Visit every nonzero named-property counter as `((class, line, pos), n)`:
+    /// the allocated pages in ascending class order, then the spill map.
     fn for_each_property(&self, mut f: impl FnMut(ClassId, u8, u8, u64)) {
-        for (ix, &n) in self.property_dense.iter().enumerate() {
-            if n != 0 {
-                let class = ClassId::from_raw_u8((ix >> 11) as u8);
-                f(class, ((ix >> 3) & 0xFF) as u8, (ix & 0x7) as u8, n);
+        for (class, page) in self.property_pages.iter().enumerate() {
+            let Some(page) = page else { continue };
+            let class = ClassId::from_raw_u8(class as u8);
+            for (ix, &n) in page.iter().enumerate() {
+                if n != 0 {
+                    f(class, (ix >> 3) as u8, (ix & 0x7) as u8, n);
+                }
             }
         }
         for (&(class, line, pos), &n) in &self.property_spill {
@@ -121,7 +130,7 @@ impl LoadAccessStats {
 
     /// Total recorded object loads.
     pub fn total(&self) -> u64 {
-        self.property_dense.iter().sum::<u64>()
+        self.property_pages.iter().flatten().map(|page| page.iter().sum::<u64>()).sum::<u64>()
             + self.property_spill.values().sum::<u64>()
             + self.elements_loads.iter().sum::<u64>()
     }

@@ -43,9 +43,9 @@ pub struct HeapStats {
 #[derive(Debug)]
 pub struct Heap {
     words: Vec<u64>,
-    /// Per-block: is this the first block of a live allocation?
-    alloc_start: Vec<bool>,
-    /// Per-block: allocation length in blocks (valid at start blocks).
+    /// Per-block: allocation length in blocks at the first block of a
+    /// live allocation, 0 at every other block (allocations are never
+    /// empty, so 0 is never a real length).
     size_blocks: Vec<u32>,
     /// Free runs: start block → length in blocks (coalesced).
     free_runs: BTreeMap<u32, u32>,
@@ -65,7 +65,6 @@ impl Heap {
     pub fn new() -> Heap {
         let mut h = Heap {
             words: vec![0; INITIAL_BLOCKS * BLOCK_WORDS],
-            alloc_start: vec![false; INITIAL_BLOCKS],
             size_blocks: vec![0; INITIAL_BLOCKS],
             free_runs: BTreeMap::new(),
             words_since_gc: 0,
@@ -115,11 +114,15 @@ impl Heap {
         ((addr - HEAP_BASE) / (BLOCK_WORDS as u64 * 8)) as u32
     }
 
+    /// Extend the arena by at least `min_blocks` (and by at least half its
+    /// size). The tables are reserved exactly: the arena already grows
+    /// geometrically, so `Vec`'s own doubling would only add slack.
     fn grow(&mut self, min_blocks: u32) {
-        let old = self.alloc_start.len() as u32;
+        let old = self.size_blocks.len() as u32;
         let add = min_blocks.max(old / 2).max(INITIAL_BLOCKS as u32);
+        self.words.reserve_exact(add as usize * BLOCK_WORDS);
         self.words.extend(std::iter::repeat_n(0, add as usize * BLOCK_WORDS));
-        self.alloc_start.extend(std::iter::repeat_n(false, add as usize));
+        self.size_blocks.reserve_exact(add as usize);
         self.size_blocks.extend(std::iter::repeat_n(0, add as usize));
         self.insert_free(old, add);
     }
@@ -172,7 +175,6 @@ impl Heap {
             if tail > 0 {
                 self.insert_free(astart + blocks, tail);
             }
-            self.alloc_start[astart as usize] = true;
             self.size_blocks[astart as usize] = blocks;
             let addr = Self::block_addr(astart);
             // Zero the allocation.
@@ -194,9 +196,8 @@ impl Heap {
     /// Panics if `addr` is not a live allocation start.
     pub fn free(&mut self, addr: u64) {
         let b = Self::addr_block(addr);
-        assert!(self.alloc_start[b as usize], "free of non-allocation {addr:#x}");
         let len = self.size_blocks[b as usize];
-        self.alloc_start[b as usize] = false;
+        assert!(len != 0, "free of non-allocation {addr:#x}");
         self.size_blocks[b as usize] = 0;
         self.insert_free(b, len);
     }
@@ -204,7 +205,7 @@ impl Heap {
     /// Size in words of the allocation at `addr`.
     pub fn alloc_words(&self, addr: u64) -> usize {
         let b = Self::addr_block(addr) as usize;
-        debug_assert!(self.alloc_start[b]);
+        debug_assert!(self.size_blocks[b] != 0);
         self.size_blocks[b] as usize * BLOCK_WORDS
     }
 
@@ -263,40 +264,38 @@ impl Heap {
     /// Mark-sweep collection from the given roots. Returns words freed.
     pub fn collect(&mut self, maps: &MapTable, roots: &[Value]) -> u64 {
         self.stats.collections += 1;
-        let nblocks = self.alloc_start.len();
-        let mut marked = vec![false; nblocks];
+        let nblocks = self.size_blocks.len();
+        // Mark bitmap: bit `b % 64` of word `b / 64` is block `b`.
+        let mut marked = vec![0u64; nblocks.div_ceil(64)];
         let mut stack: Vec<u64> = roots.iter().filter(|v| v.is_ptr()).map(|v| v.addr()).collect();
         while let Some(addr) = stack.pop() {
             let b = Self::addr_block(addr) as usize;
             debug_assert!(
-                self.alloc_start[b],
+                self.size_blocks[b] != 0,
                 "marked pointer {addr:#x} is not an allocation start"
             );
-            if marked[b] {
+            let bit = 1u64 << (b % 64);
+            if marked[b / 64] & bit != 0 {
                 continue;
             }
-            marked[b] = true;
+            marked[b / 64] |= bit;
             let words = self.size_blocks[b] as usize * BLOCK_WORDS;
             let base_ix = self.word_index(addr);
             let kind = maps.get(header_map(self.words[base_ix])).kind;
             let heap_words = &self.words;
-            let mut pushes: Vec<u64> = Vec::new();
             Self::for_each_tagged_slot(words, kind, heap_words, base_ix, |w| {
                 let v = Value::from_raw(heap_words[base_ix + w]);
                 if v.is_ptr() {
-                    pushes.push(v.addr());
+                    stack.push(v.addr());
                 }
             });
-            stack.extend(pushes);
         }
         // Sweep.
         let mut freed_words = 0u64;
-        #[allow(clippy::needless_range_loop)] // b indexes three parallel arrays
         for b in 0..nblocks {
-            if self.alloc_start[b] && !marked[b] {
-                let len = self.size_blocks[b];
+            let len = self.size_blocks[b];
+            if len != 0 && marked[b / 64] & (1u64 << (b % 64)) == 0 {
                 freed_words += len as u64 * BLOCK_WORDS as u64;
-                self.alloc_start[b] = false;
                 self.size_blocks[b] = 0;
                 self.insert_free(b as u32, len);
             }
@@ -313,8 +312,8 @@ impl Heap {
     pub fn fix_pointer(&mut self, maps: &MapTable, old: u64, new: u64) {
         let old_v = Value::ptr(old).raw();
         let new_v = Value::ptr(new).raw();
-        for b in 0..self.alloc_start.len() {
-            if !self.alloc_start[b] {
+        for b in 0..self.size_blocks.len() {
+            if self.size_blocks[b] == 0 {
                 continue;
             }
             let addr = Self::block_addr(b as u32);

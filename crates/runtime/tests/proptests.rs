@@ -1,9 +1,184 @@
 //! Property-based tests for the object model.
 
-use checkelide_runtime::{numops, ElemKind, Runtime, Value};
+use checkelide_isa::layout::HEAP_BASE;
+use checkelide_runtime::{numops, ElemKind, Heap, MapTable, Runtime, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// One call on [`Heap`]: allocate `words` (line-aligned or not), free the
+/// live allocation picked by an index, or collect with the live
+/// allocations picked by a bit mask as roots.
+#[derive(Debug, Clone)]
+enum HeapOp {
+    Alloc(usize, bool),
+    Free(usize),
+    Collect(u64),
+}
+
+fn arb_heap_op() -> impl Strategy<Value = HeapOp> {
+    // Mostly object-sized allocations, some larger than the initial 1 MiB
+    // arena (so it grows), frees, and a rare collection.
+    (0u8..32, 1usize..48, 1usize..200_000, any::<bool>(), any::<usize>()).prop_map(
+        |(sel, small, big, align, pick)| match sel {
+            0 => HeapOp::Collect(pick as u64),
+            1 => HeapOp::Alloc(big, align),
+            2..=11 => HeapOp::Free(pick),
+            _ => HeapOp::Alloc(small, align),
+        },
+    )
+}
+
+/// Reference first-fit placement over a `BTreeMap` of free runs, as the
+/// heap defines it: 16-byte blocks, line alignment to 4 blocks, runs
+/// coalesced on free, and an arena that grows at its end by the larger of
+/// the request plus a line, half its size and the initial 65,536 blocks.
+struct FirstFit {
+    blocks: u32,
+    free_runs: BTreeMap<u32, u32>,
+    live: BTreeMap<u32, u32>,
+    allocations: u64,
+    words_allocated: u64,
+    collections: u64,
+    words_freed: u64,
+}
+
+impl FirstFit {
+    const INITIAL_BLOCKS: u32 = 65536;
+
+    fn new() -> FirstFit {
+        FirstFit {
+            blocks: Self::INITIAL_BLOCKS,
+            free_runs: BTreeMap::from([(0, Self::INITIAL_BLOCKS)]),
+            live: BTreeMap::new(),
+            allocations: 0,
+            words_allocated: 0,
+            collections: 0,
+            words_freed: 0,
+        }
+    }
+
+    fn insert_free(&mut self, mut start: u32, mut len: u32) {
+        if let Some((&pstart, &plen)) = self.free_runs.range(..start).next_back() {
+            if pstart + plen == start {
+                self.free_runs.remove(&pstart);
+                start = pstart;
+                len += plen;
+            }
+        }
+        if let Some(slen) = self.free_runs.remove(&(start + len)) {
+            len += slen;
+        }
+        self.free_runs.insert(start, len);
+    }
+
+    fn alloc(&mut self, nwords: usize, align_line: bool) -> u64 {
+        let blocks = nwords.div_ceil(2) as u32;
+        loop {
+            let found = self.free_runs.iter().find_map(|(&start, &len)| {
+                let astart = if align_line { start.next_multiple_of(4) } else { start };
+                (astart + blocks <= start + len).then_some((start, len, astart))
+            });
+            let Some((start, len, astart)) = found else {
+                let add = (blocks + 4).max(self.blocks / 2).max(Self::INITIAL_BLOCKS);
+                self.insert_free(self.blocks, add);
+                self.blocks += add;
+                continue;
+            };
+            self.free_runs.remove(&start);
+            if astart > start {
+                self.free_runs.insert(start, astart - start);
+            }
+            let tail = (start + len) - (astart + blocks);
+            if tail > 0 {
+                self.insert_free(astart + blocks, tail);
+            }
+            self.live.insert(astart, blocks);
+            self.allocations += 1;
+            self.words_allocated += nwords as u64;
+            return HEAP_BASE + u64::from(astart) * 16;
+        }
+    }
+
+    fn free(&mut self, addr: u64) {
+        let b = ((addr - HEAP_BASE) / 16) as u32;
+        let len = self.live.remove(&b).expect("live allocation");
+        self.insert_free(b, len);
+    }
+
+    /// Collect with `roots` as the only reachable allocations (the test's
+    /// allocations hold no pointers).
+    fn collect(&mut self, roots: &[u64]) {
+        self.collections += 1;
+        let keep: Vec<u32> = roots.iter().map(|&a| ((a - HEAP_BASE) / 16) as u32).collect();
+        for (b, len) in std::mem::take(&mut self.live) {
+            if keep.contains(&b) {
+                self.live.insert(b, len);
+            } else {
+                self.words_freed += u64::from(len) * 2;
+                self.insert_free(b, len);
+            }
+        }
+    }
+
+    fn live_words(&self) -> u64 {
+        let free: u64 = self.free_runs.values().map(|&l| u64::from(l) * 2).sum();
+        u64::from(self.blocks) * 2 - free
+    }
+}
 
 proptest! {
+    /// Heap placement is pinned: for any sequence of allocations (line
+    /// aligned or not, growing the arena), frees and collections, every
+    /// address, the statistics and the live-word count equal a reference
+    /// first-fit model of the same calls. Allocations are zeroed, so each
+    /// reads as a pointer-free leaf and a collection keeps exactly its
+    /// roots.
+    #[test]
+    fn heap_placement_equals_first_fit_model(
+        ops in proptest::collection::vec(arb_heap_op(), 1..300),
+    ) {
+        let maps = MapTable::new();
+        let mut heap = Heap::new();
+        let mut model = FirstFit::new();
+        let mut live: Vec<u64> = Vec::new();
+        for op in &ops {
+            match *op {
+                HeapOp::Alloc(words, align) => {
+                    let addr = heap.alloc(words, align);
+                    prop_assert_eq!(addr, model.alloc(words, align));
+                    prop_assert_eq!(heap.alloc_words(addr), words.next_multiple_of(2));
+                    live.push(addr);
+                }
+                HeapOp::Free(pick) => {
+                    if !live.is_empty() {
+                        let addr = live.swap_remove(pick % live.len());
+                        heap.free(addr);
+                        model.free(addr);
+                    }
+                }
+                HeapOp::Collect(mask) => {
+                    live = live
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| mask >> (i % 64) & 1 == 1)
+                        .map(|(_, &a)| a)
+                        .collect();
+                    let roots: Vec<Value> = live.iter().map(|&a| Value::ptr(a)).collect();
+                    let before = model.words_freed;
+                    model.collect(&live);
+                    prop_assert_eq!(heap.collect(&maps, &roots), model.words_freed - before);
+                }
+            }
+            prop_assert_eq!(heap.live_words(), model.live_words());
+        }
+        let stats = heap.stats();
+        prop_assert_eq!(
+            (stats.allocations, stats.words_allocated, stats.collections, stats.words_freed),
+            (model.allocations, model.words_allocated, model.collections, model.words_freed)
+        );
+        prop_assert_eq!(stats.relocations, 0);
+    }
+
     /// SMI tagging round-trips for every i32, with the paper's layout
     /// (payload in the high 32 bits, tag bit 0 clear).
     #[test]
