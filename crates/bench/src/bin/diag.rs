@@ -1,6 +1,6 @@
 //! Debugging aid: print per-function tier state (optimized / disabled /
 //! deopt counts) for one benchmark under the baseline and Full-mechanism
-//! configurations. Set `CHECKELIDE_TRACE_DEOPT=1` to log every deopt.
+//! configurations; deopt counts come from `VmStats`.
 //!
 //!     cargo run --release -p checkelide-bench --bin diag -- <benchmark>
 

@@ -6,8 +6,7 @@
 //!     fig_bbv [--quick] [--jobs N] [--trace-cache DIR|off]
 //!
 //! The trace cache defaults OFF for the standalone binary; pass
-//! `--trace-cache DIR` (or set `CHECKELIDE_TRACE_CACHE`) to record on a
-//! cold run and replay on warm runs. Cache activity and per-cell hit/miss
+//! `--trace-cache DIR` to record on a cold run and replay on warm runs. Cache activity and per-cell hit/miss
 //! dispositions are saved to `results/run_meta.json`.
 
 use checkelide_bench::figures::RunMeta;

@@ -55,9 +55,7 @@
 //!     cargo run --release -p checkelide-bench --bin perfstat -- \
 //!         [--quick] [--floor FILE [--floor-mult X]] [bench]
 
-use checkelide_bench::figures::{
-    fig1_report, fig1_report_cached, fig89_report_cached, save_json, BBV_CONFIGS,
-};
+use checkelide_bench::figures::{fig1_report_cached, fig89_report_cached, save_json, BBV_CONFIGS};
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
 use checkelide_bench::store::{sha256, sha256_backend, ObjectWriter, Sidecar, TraceStore};
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
@@ -370,7 +368,7 @@ fn main() {
     // --- grid: single-job Figure 1 wall-clock -------------------------
     eprintln!("timing fig1 grid (quick={}, jobs=1) ...", cli.quick);
     let t0 = Instant::now();
-    let report = fig1_report(cli.quick, 1);
+    let report = fig1_report_cached(cli.quick, 1, &TraceCache::disabled());
     let grid_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(report.failures.is_empty(), "fig1 cells failed: {:?}", report.failures);
 

@@ -5,9 +5,9 @@
 //!     reproduce [--quick] [--jobs N] [--trace-cache DIR|off]
 //!
 //! * `--quick` — reduced-scale smoke run.
-//! * `--jobs N` (or `-j N`, or env `CHECKELIDE_JOBS`) — worker threads;
-//!   defaults to the machine's available parallelism.
-//! * `--trace-cache DIR|off` (or env `CHECKELIDE_TRACE_CACHE`) — µop trace
+//! * `--jobs N` (or `-j N`) — worker threads; defaults to the machine's
+//!   available parallelism.
+//! * `--trace-cache DIR|off` — µop trace
 //!   record/replay cache. `reproduce` defaults it ON at
 //!   `target/trace-cache`: each engine configuration executes at most once
 //!   per run, and every figure sharing that configuration (fig2/fig3 reuse

@@ -3,17 +3,18 @@
 //!     tracegc [--store DIR] [--max-store-bytes N]
 //!
 //! Runs one pass over the store at `--store` (default
-//! `target/trace-cache`) and exits: drops entries whose stored key
-//! carries a stale schema salt (a `TRACE_SCHEMA_REV` / codec-version bump
-//! invalidates every old key), bounds the store to `--max-store-bytes`
-//! evicting least-recently-used entries (memoized sim results are charged
-//! to the trace they belong to), and reclaims unreferenced objects,
-//! sim-result objects whose trace CID is gone or whose `SIM_SCHEMA_REV`
-//! is stale, plus legacy flat-layout files. The open itself also sweeps
-//! `*.tmp.*` debris from crashed runs.
+//! `target/trace-cache`) and exits: drops entries whose stored key ends
+//! with another source fingerprint or codec version (recorded by other
+//! µop-shaping code), drops sim-result objects stored under another sim
+//! fingerprint (other simulator code or core configuration), bounds the
+//! store to `--max-store-bytes` evicting least-recently-used entries
+//! (memoized sim results are charged to the trace they belong to), and
+//! reclaims unreferenced objects and sim-result objects whose trace CID
+//! is gone. The open itself also sweeps `*.tmp.*` debris from crashed
+//! runs.
 
 use checkelide_bench::tracecache::{current_key_suffix, DEFAULT_TRACE_CACHE_DIR};
-use checkelide_bench::{Cli, TraceStore};
+use checkelide_bench::{sim_fingerprint, Cli, TraceStore};
 
 fn main() {
     let cli = Cli::parse();
@@ -32,11 +33,11 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let stats = store.gc(&current_key_suffix(), max_bytes);
+    let stats = store.gc(&current_key_suffix(), sim_fingerprint(), max_bytes);
     println!(
         "tracegc: gc {}: {} stale + {} lru entries dropped, \
          {} orphan objects, {} stale + {} orphan sim objects, \
-         {} legacy files, {} bytes freed; \
+         {} bytes freed; \
          {} entries ({} bytes) kept",
         dir,
         stats.stale_entries,
@@ -44,7 +45,6 @@ fn main() {
         stats.orphan_objects,
         stats.stale_sims,
         stats.orphan_sims,
-        stats.legacy_files,
         stats.bytes_freed,
         stats.entries_kept,
         stats.bytes_kept,

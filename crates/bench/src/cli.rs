@@ -1,19 +1,17 @@
 //! Shared command-line parsing for the harness binaries.
 //!
 //! Every `crates/bench/src/bin/*` entry point (and `checkelide-xcheck`'s
-//! `xcheck` binary) used to hand-roll the same `--quick` / `--jobs N` /
-//! `CHECKELIDE_JOBS` handling; this module centralizes it. Parsing is
-//! deliberately tiny and dependency-free:
+//! `xcheck` binary) parses its command line here. Flags are the only
+//! settings surface: no environment variable changes the pool width, the
+//! trace cache or the sim cache. Parsing is deliberately tiny and
+//! dependency-free:
 //!
 //! * boolean flags: `--quick`;
 //! * value flags: `--name V` or `--name=V` (see [`Cli::value_of`]);
-//! * `--jobs N` / `-j N` / `--jobs=N` / env `CHECKELIDE_JOBS`, delegated
-//!   to [`crate::pool::jobs_from_args`] so the two layers can never
-//!   disagree;
+//! * `--jobs N` / `-j N` / `--jobs=N`, the worker-pool width (default:
+//!   available parallelism);
 //! * positionals: the first argument that is neither a flag nor the value
 //!   of a known value-taking flag ([`Cli::positional_or`]).
-
-use crate::pool::jobs_from_args;
 
 /// Flags that consume the following argument as their value. Needed to
 /// tell `--jobs 4 foo` (positional `foo`) apart from `--jobs 4` alone.
@@ -39,7 +37,7 @@ const VALUE_FLAGS: &[&str] = &[
 pub struct Cli {
     /// `--quick` — reduced-scale smoke run.
     pub quick: bool,
-    /// Worker threads (`--jobs N`, `-j N`, `--jobs=N`, `CHECKELIDE_JOBS`,
+    /// Worker threads (`--jobs N`, `-j N`, `--jobs=N`; 0 clamps to 1;
     /// default: available parallelism).
     pub jobs: usize,
     args: Vec<String>,
@@ -54,7 +52,7 @@ impl Cli {
     /// Parse an explicit argument vector (no program name).
     pub fn from_args(args: Vec<String>) -> Cli {
         let quick = args.iter().any(|a| a == "--quick");
-        let jobs = jobs_from_args(&args);
+        let jobs = jobs(&args);
         Cli { quick, jobs, args }
     }
 
@@ -124,6 +122,27 @@ impl Cli {
     }
 }
 
+/// The first parsable `--jobs N` / `-j N` / `--jobs=N` value (0 clamps to
+/// 1), else the machine's available parallelism, else 1. A value that
+/// does not parse warns and is skipped.
+fn jobs(args: &[String]) -> usize {
+    let mut it = args.iter().peekable();
+    while let Some(a) = it.next() {
+        let value = if a == "--jobs" || a == "-j" {
+            it.peek().map(|v| v.as_str())
+        } else if let Some(v) = a.strip_prefix("--jobs=") {
+            Some(v)
+        } else {
+            continue;
+        };
+        match value.and_then(|v| v.parse::<usize>().ok()) {
+            Some(n) => return n.max(1),
+            None => eprintln!("warning: {a} expects a number; using the default"),
+        }
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +159,18 @@ mod tests {
         let c = cli(&["--jobs=2"]);
         assert!(!c.quick);
         assert_eq!(c.jobs, 2);
+    }
+
+    #[test]
+    fn jobs_parsing() {
+        assert_eq!(cli(&["--jobs", "5"]).jobs, 5);
+        assert_eq!(cli(&["--jobs=3"]).jobs, 3);
+        assert_eq!(cli(&["-j", "2"]).jobs, 2);
+        assert_eq!(cli(&["--jobs", "0"]).jobs, 1, "0 clamps to 1");
+        assert!(cli(&["--quick"]).jobs >= 1);
+        // An unparsable value is skipped: a later one still applies.
+        assert_eq!(cli(&["--jobs", "x", "-j", "4"]).jobs, 4);
+        assert!(cli(&["--jobs=many"]).jobs >= 1);
     }
 
     #[test]

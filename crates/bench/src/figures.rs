@@ -107,22 +107,6 @@ pub struct FigureReport<R> {
     pub cells: Vec<CellMeta>,
 }
 
-impl<R> FigureReport<R> {
-    /// Extract the rows, panicking if any cell failed (the behavior of the
-    /// pre-pool harness; tests and compat wrappers use this).
-    ///
-    /// # Panics
-    ///
-    /// If any cell failed.
-    pub fn expect_rows(self) -> Vec<R> {
-        if let Some(first) = self.failures.first() {
-            panic!("{} of {} {} cells failed; first: {first}",
-                self.failures.len(), self.cells.len(), self.figure);
-        }
-        self.rows
-    }
-}
-
 /// Render a failure summary (empty string when there are no failures).
 pub fn render_failures(failures: &[CellError]) -> String {
     use std::fmt::Write as _;
@@ -407,11 +391,6 @@ impl ToJson for Fig1Row {
     }
 }
 
-/// Run the Figure 1 characterization across the pool (no trace cache).
-pub fn fig1_report(quick: bool, jobs: usize) -> FigureReport<Fig1Row> {
-    fig1_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the Figure 1 characterization across the pool, recording to /
 /// replaying from `cache` where possible.
 pub fn fig1_report_cached(
@@ -443,11 +422,6 @@ pub fn fig1_report_cached(
             sim_tel,
         ))
     })
-}
-
-/// Run the Figure 1 characterization serially (compat wrapper).
-pub fn fig1(quick: bool) -> Vec<Fig1Row> {
-    fig1_report(quick, 1).expect_rows()
 }
 
 /// Render Figure 1 as an aligned table.
@@ -513,11 +487,6 @@ impl ToJson for Fig2Row {
     }
 }
 
-/// Run the Figure 2 characterization across the pool (no trace cache).
-pub fn fig2_report(quick: bool, jobs: usize) -> FigureReport<Fig2Row> {
-    fig2_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the Figure 2 characterization across the pool, reusing `cache`.
 ///
 /// Figure 2 uses the same `RunConfig::characterize()` key as Figure 1, so
@@ -549,11 +518,6 @@ pub fn fig2_report_cached(
             sim_tel,
         ))
     })
-}
-
-/// Run the Figure 2 characterization serially (compat wrapper).
-pub fn fig2(quick: bool) -> Vec<Fig2Row> {
-    fig2_report(quick, 1).expect_rows()
 }
 
 /// Render Figure 2.
@@ -620,11 +584,6 @@ impl ToJson for Fig3RowOut {
     }
 }
 
-/// Run Figure 3 over the selected benchmarks across the pool (no cache).
-pub fn fig3_report(quick: bool, jobs: usize) -> FigureReport<Fig3RowOut> {
-    fig3_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run Figure 3 across the pool, reusing `cache`.
 ///
 /// Figure 3 shares Figure 1's `RunConfig::characterize()` cache key, so a
@@ -656,11 +615,6 @@ pub fn fig3_report_cached(
             sim_tel,
         ))
     })
-}
-
-/// Run Figure 3 serially (compat wrapper).
-pub fn fig3(quick: bool) -> Vec<Fig3RowOut> {
-    fig3_report(quick, 1).expect_rows()
 }
 
 /// Render Figure 3.
@@ -751,12 +705,6 @@ impl ToJson for Fig89Row {
     }
 }
 
-/// Run Figures 8 and 9 over the selected benchmarks across the pool (no
-/// trace cache).
-pub fn fig89_report(quick: bool, jobs: usize) -> FigureReport<Fig89Row> {
-    fig89_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run Figures 8 and 9 across the pool, reusing `cache`.
 ///
 /// Each cell records/replays two traces (baseline + mechanism); a cell is
@@ -769,11 +717,6 @@ pub fn fig89_report_cached(
     run_figure("fig8_fig9", selected().collect(), jobs, move |b| {
         fig89_one_cell(b, quick, cache)
     })
-}
-
-/// Run Figures 8 and 9 serially (compat wrapper).
-pub fn fig89(quick: bool) -> Vec<Fig89Row> {
-    fig89_report(quick, 1).expect_rows()
 }
 
 /// Run Figures 8/9 for one benchmark, reporting failures as data.
@@ -945,11 +888,6 @@ impl ToJson for FigBbvRow {
     }
 }
 
-/// Run the BBV head-to-head over the selected benchmarks (no trace cache).
-pub fn fig_bbv_report(quick: bool, jobs: usize) -> FigureReport<FigBbvRow> {
-    fig_bbv_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the BBV head-to-head across the pool, reusing `cache`.
 ///
 /// Each cell records/replays five traces; a cell is a `hit` only when all
@@ -962,21 +900,6 @@ pub fn fig_bbv_report_cached(
     run_figure("fig_bbv", selected().collect(), jobs, move |b| {
         fig_bbv_one_cell(b, quick, cache)
     })
-}
-
-/// Run the BBV head-to-head serially (compat wrapper).
-pub fn fig_bbv(quick: bool) -> Vec<FigBbvRow> {
-    fig_bbv_report(quick, 1).expect_rows()
-}
-
-/// Run the head-to-head for one benchmark, reporting failures as data.
-///
-/// # Errors
-///
-/// Any [`RunError`] from any of the five configurations, or a checksum
-/// divergence between any configuration and the baseline run.
-pub fn try_fig_bbv_one(b: &Benchmark, quick: bool) -> Result<FigBbvRow, RunError> {
-    fig_bbv_one_cell(b, quick, &TraceCache::disabled()).map(|(row, _, _, _)| row)
 }
 
 fn fig_bbv_one_cell(
@@ -1148,12 +1071,6 @@ impl ToJson for OverheadRow {
     }
 }
 
-/// Run the §5.3 overheads analysis over the selected benchmarks across the
-/// pool (no trace cache).
-pub fn overheads_report(quick: bool, jobs: usize) -> FigureReport<OverheadRow> {
-    overheads_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the §5.3 overheads analysis across the pool, reusing `cache`.
 ///
 /// The rows never read the timing model, so the cells run with
@@ -1178,11 +1095,6 @@ pub fn overheads_report_cached(
         let uops = out.uops;
         Ok((overhead_row(b.name, &out), uops, disp, sim_tel))
     })
-}
-
-/// Run the §5.3 overheads analysis serially (compat wrapper).
-pub fn overheads(quick: bool) -> Vec<OverheadRow> {
-    overheads_report(quick, 1).expect_rows()
 }
 
 fn overhead_row(name: &str, out: &RunOutput) -> OverheadRow {

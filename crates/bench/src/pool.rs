@@ -27,41 +27,6 @@ use std::time::{Duration, Instant};
 /// Compile-time proof that a type may cross the pool's thread boundary.
 pub fn assert_send_sync<T: Send + Sync>() {}
 
-/// Environment variable overriding the default worker count.
-pub const JOBS_ENV: &str = "CHECKELIDE_JOBS";
-
-/// Default worker count: `CHECKELIDE_JOBS` if set, else the machine's
-/// available parallelism, else 1.
-pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var(JOBS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-        eprintln!("warning: ignoring unparsable {JOBS_ENV}={v:?}");
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Parse `--jobs N` (or `--jobs=N` / `-j N`) from `args`, falling back to
-/// [`default_jobs`]. Returns the worker count.
-pub fn jobs_from_args<S: AsRef<str>>(args: &[S]) -> usize {
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
-    while let Some(a) = it.next() {
-        if a == "--jobs" || a == "-j" {
-            if let Some(n) = it.peek().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-            eprintln!("warning: {a} expects a number; using default");
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-            eprintln!("warning: ignoring unparsable {a}");
-        }
-    }
-    default_jobs()
-}
-
 /// A failed cell: the benchmark panicked or reported a typed error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellError {
@@ -242,15 +207,6 @@ mod tests {
         let parallel: Vec<u64> =
             run_cells(cells(33), 7, f).into_iter().map(|c| c.result.unwrap()).collect();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn jobs_parsing() {
-        assert_eq!(jobs_from_args(&["--jobs", "5"]), 5);
-        assert_eq!(jobs_from_args(&["--jobs=3"]), 3);
-        assert_eq!(jobs_from_args(&["-j", "2"]), 2);
-        assert_eq!(jobs_from_args(&["--jobs", "0"]), 1, "0 clamps to 1");
-        assert!(jobs_from_args(&["--quick"]) >= 1);
     }
 
     #[test]

@@ -4,11 +4,18 @@
 //! Every figure in the paper is simulated on one fixed core (Table 2,
 //! [`CoreConfig::nehalem`]) with the default [`EnergyParams`]. The trace
 //! store gives each recording a SHA-256 content ID; [`CoreSim`] is a pure
-//! function of `(trace bytes, core config)` — so its result can be
-//! memoized under `(trace CID, config fingerprint, SIM_SCHEMA_REV)` and
-//! reused forever, exactly the paper's memoization idiom (pay the
-//! expensive observation once, reuse the proven result while the key
-//! holds) applied to the simulation layer itself.
+//! function of `(trace bytes, core config, simulator code)` — so its
+//! result can be memoized under `(trace CID, sim fingerprint)` and reused
+//! forever, exactly the paper's memoization idiom (pay the expensive
+//! observation once, reuse the proven result while the key holds) applied
+//! to the simulation layer itself.
+//!
+//! The sim fingerprint ([`sim_fingerprint`]) hashes the config
+//! fingerprint together with `SIM_SOURCE_FP`, which `build.rs` computes
+//! over `crates/uarch/src` and `crates/isa/src` (the isa decoder turns
+//! the same stored bytes into the µops `CoreSim` sees). Any edit there,
+//! even to a comment, keys new sim objects: a warm store re-simulates
+//! from its stored traces instead of serving results of other code.
 //!
 //! [`sim_config`] / [`sim_energy`] replace the formerly scattered
 //! `CoreConfig::nehalem()` call sites in `runner`, `perfstat`, and the
@@ -25,9 +32,9 @@
 //!   and the live result wins.
 //! * `off` — always simulate live, never read or write sim objects.
 //!
-//! Resolution order: the `--sim-cache` flag, then [`SIM_CACHE_ENV`], then
-//! `on`. Sim objects live next to trace manifests in the local store; a
-//! missing or corrupt one degrades to a live simulation.
+//! The mode is the `--sim-cache` flag, else `on`. Sim objects live next
+//! to trace manifests in the local store; a missing or corrupt one
+//! degrades to a live simulation.
 //!
 //! [`CoreSim`]: checkelide_uarch::CoreSim
 
@@ -35,9 +42,10 @@ use std::sync::OnceLock;
 
 use checkelide_uarch::{config_fingerprint, CoreConfig, EnergyParams};
 
-/// Environment variable selecting the sim-cache mode (`off`/`on`/
-/// `verify`).
-pub const SIM_CACHE_ENV: &str = "CHECKELIDE_SIM_CACHE";
+use crate::store::fnv1a64;
+
+/// Hash of the simulator's source, 16 hex digits (see `build.rs`).
+const SIM_SOURCE_FP: &str = env!("SIM_SOURCE_FP");
 
 /// Sim-result cache mode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,14 +81,12 @@ impl SimCacheMode {
         }
     }
 
-    /// Resolve from an explicit `--sim-cache` value, the
-    /// [`SIM_CACHE_ENV`] variable, or the default (`on`). Unrecognized
-    /// spellings warn and fall back to the default so a typo can never
-    /// silently disable verification CI asked for.
+    /// Resolve from an explicit `--sim-cache` value, or the default
+    /// (`on`). Unrecognized spellings warn and fall back to the default
+    /// so a typo can never silently disable verification CI asked for.
     #[must_use]
     pub fn resolve(flag: Option<&str>) -> SimCacheMode {
-        let spec = flag.map(str::to_string).or_else(|| std::env::var(SIM_CACHE_ENV).ok());
-        match spec.as_deref() {
+        match flag {
             None => SimCacheMode::default(),
             Some(s) => SimCacheMode::parse(s).unwrap_or_else(|| {
                 eprintln!(
@@ -108,12 +114,23 @@ pub fn sim_energy() -> EnergyParams {
     EnergyParams::default()
 }
 
-/// Fingerprint of `(sim_config, sim_energy)` — the config half of every
-/// sim-object key. Computed once per process.
+/// Fingerprint of `(sim_config, sim_energy)` and the simulator's source —
+/// the second half of every sim-object key. Computed once per process.
 #[must_use]
 pub fn sim_fingerprint() -> u64 {
     static FP: OnceLock<u64> = OnceLock::new();
-    *FP.get_or_init(|| config_fingerprint(&sim_config(), &sim_energy()))
+    *FP.get_or_init(|| {
+        let source = u64::from_str_radix(SIM_SOURCE_FP, 16).expect("build.rs emits hex");
+        with_source(config_fingerprint(&sim_config(), &sim_energy()), source)
+    })
+}
+
+/// FNV-1a 64 over a config fingerprint and a source fingerprint.
+fn with_source(config: u64, source: u64) -> u64 {
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&config.to_le_bytes());
+    bytes[8..].copy_from_slice(&source.to_le_bytes());
+    fnv1a64(&bytes)
 }
 
 #[cfg(test)]
@@ -136,9 +153,14 @@ mod tests {
     #[test]
     fn fingerprint_is_stable_within_a_process() {
         assert_eq!(sim_fingerprint(), sim_fingerprint());
-        assert_eq!(
-            sim_fingerprint(),
-            config_fingerprint(&sim_config(), &sim_energy())
-        );
+        let config = config_fingerprint(&sim_config(), &sim_energy());
+        let source = u64::from_str_radix(SIM_SOURCE_FP, 16).expect("hex");
+        assert_eq!(SIM_SOURCE_FP.len(), 16);
+        assert_eq!(sim_fingerprint(), with_source(config, source));
+        // Either half moves the key: a config change, or any edit to the
+        // simulator's source.
+        assert_ne!(sim_fingerprint(), with_source(config ^ 1, source));
+        assert_ne!(sim_fingerprint(), with_source(config, source ^ 1));
+        assert_ne!(sim_fingerprint(), config, "the source is part of the key");
     }
 }

@@ -1,9 +1,8 @@
 //! Content-addressed, sharded on-disk trace store.
 //!
 //! This is the storage layer behind [`crate::tracecache::TraceCache`] and
-//! the `tracegc` maintenance pass. It replaces the PR-4 flat directory of
-//! `<stem>.trace` / `<stem>.meta` pairs with a two-level design borrowed
-//! from content-addressed object stores:
+//! the `tracegc` maintenance pass, a two-level design borrowed from
+//! content-addressed object stores:
 //!
 //! ```text
 //! <root>/
@@ -14,17 +13,17 @@
 //! ```
 //!
 //! * A **manifest** maps one logical cache key (benchmark × engine
-//!   configuration × schema salt) to a [`Sidecar`]: every statistic the
-//!   runner measured, plus the content ID of the trace body. Manifests
-//!   are small (~400 B) and rewritten atomically (tmp + rename).
+//!   configuration × source fingerprint) to a [`Sidecar`]: every
+//!   statistic the runner measured, plus the content ID of the trace
+//!   body. Manifests are small (~400 B) and rewritten atomically (tmp +
+//!   rename).
 //! * An **object** is one encoded µop trace, stored under the hex SHA-256
 //!   of its *raw* encoded bytes, in a 256-way fan-out of shard
 //!   directories keyed by the first hex byte (so no directory holds
 //!   every object of a large store). Objects are immutable: two logical
 //!   keys whose executions emit identical µop streams (geometry sweeps
-//!   that only vary the simulated cache, schema-salt bumps that do not
-//!   change emission) share one object — that is the dedup the flat
-//!   layout could not express.
+//!   that only vary the simulated cache, source edits that do not change
+//!   emission) share one object.
 //! * Object payloads are optionally compressed with the std-only
 //!   [`checkelide_isa::lz`] codec ([`COMPRESS_LZ`]); the raw form is kept
 //!   when compression does not help. The CID is always the hash of the
@@ -44,9 +43,10 @@
 //! pointing at a missing body. The inverse orphans — `*.tmp.*` files from
 //! interrupted writes and objects whose manifest publish failed — are
 //! swept on [`TraceStore::open`]. [`TraceStore::gc`] additionally drops
-//! manifests whose key carries a stale schema salt, bounds total store
-//! size (LRU by manifest mtime; hits refresh the mtime), removes
-//! unreferenced objects, and clears legacy flat-layout files.
+//! manifests whose key carries another source fingerprint and sim objects
+//! stored under another sim fingerprint, bounds total store size (LRU by
+//! manifest mtime; hits refresh the mtime), and removes unreferenced
+//! objects.
 //!
 //! Corruption degrades to a miss, never to wrong data or a panic: a size,
 //! header, decode, length or hash failure evicts the offending manifest
@@ -688,19 +688,17 @@ pub struct PutOutcome {
 /// Totals for a [`TraceStore::gc`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Manifests dropped for carrying a stale schema salt.
+    /// Manifests dropped for a key suffix other than the current one.
     pub stale_entries: u64,
     /// Manifests dropped by the LRU size bound.
     pub lru_entries: u64,
     /// Objects no surviving manifest references.
     pub orphan_objects: u64,
-    /// Legacy flat-layout files (`*.trace` / `*.meta`) removed.
-    pub legacy_files: u64,
-    /// Sim objects dropped for a stale `SIM_SCHEMA_REV` or corruption.
+    /// Sim objects dropped for another sim fingerprint or corruption.
     pub stale_sims: u64,
     /// Sim objects whose trace CID no surviving manifest references.
     pub orphan_sims: u64,
-    /// Bytes freed (manifests + objects + sim objects + legacy files).
+    /// Bytes freed (manifests + objects + sim objects).
     pub bytes_freed: u64,
     /// Manifests kept.
     pub entries_kept: u64,
@@ -786,20 +784,15 @@ impl TraceStore {
     }
 
     /// Load + validate the memoized [`SimObject`] for `(cid, fingerprint)`.
-    /// Any failure is a miss; corruption or a stale `SIM_SCHEMA_REV`
-    /// evicts the file so the caller re-simulates and republishes.
+    /// Any failure is a miss; corruption or a file whose content
+    /// disagrees with its name evicts the file so the caller re-simulates
+    /// and republishes.
     #[must_use]
     pub fn sim_get(&self, cid: &[u8; 32], fingerprint: u64) -> Option<SimObject> {
         let path = self.sim_path(cid, fingerprint);
         let bytes = fs::read(&path).ok()?;
         match SimObject::decode(&bytes) {
-            Some(obj)
-                if obj.is_current()
-                    && obj.trace_cid == *cid
-                    && obj.fingerprint == fingerprint =>
-            {
-                Some(obj)
-            }
+            Some(obj) if obj.trace_cid == *cid && obj.fingerprint == fingerprint => Some(obj),
             _ => {
                 let _ = fs::remove_file(&path);
                 None
@@ -1088,15 +1081,14 @@ impl TraceStore {
     }
 
     /// Garbage-collect the store: drop manifests whose key does not end
-    /// with `keep_suffix` (the current schema salt, so a
-    /// `TRACE_SCHEMA_REV` / codec bump reclaims every stale entry), drop
-    /// sim objects that are corrupt or carry a stale `SIM_SCHEMA_REV`,
-    /// bound total size to `max_bytes` evicting least-recently-used
-    /// manifests first (mtime; refreshed on every hit; a manifest's cost
-    /// includes its object *and* sim bytes), remove objects and sim
-    /// objects no surviving manifest references, and clear legacy
-    /// flat-layout files.
-    pub fn gc(&self, keep_suffix: &str, max_bytes: Option<u64>) -> GcStats {
+    /// with `keep_suffix` (the current source fingerprint and codec
+    /// version, so any µop-shaping source edit reclaims every old entry),
+    /// drop sim objects that are corrupt or stored under a fingerprint
+    /// other than `sim_fp`, bound total size to `max_bytes` evicting
+    /// least-recently-used manifests first (mtime; refreshed on every
+    /// hit; a manifest's cost includes its object *and* sim bytes), and
+    /// remove objects and sim objects no surviving manifest references.
+    pub fn gc(&self, keep_suffix: &str, sim_fp: u64, max_bytes: Option<u64>) -> GcStats {
         let mut stats = GcStats::default();
         let mut survivors = Vec::new();
         for (path, side, size, mtime) in self.manifests() {
@@ -1108,16 +1100,18 @@ impl TraceStore {
                 let _ = fs::remove_file(&path);
             }
         }
-        // Validate sim objects up front: stale-rev and corrupt files go
-        // now; valid ones are charged to their trace CID so the LRU bound
-        // accounts for the whole footprint of keeping an entry warm.
+        // Validate sim objects up front: files under another fingerprint
+        // and corrupt ones go now; valid ones are charged to their trace
+        // CID so the LRU bound accounts for the whole footprint of keeping
+        // an entry warm.
         let mut sim_by_cid: std::collections::HashMap<[u8; 32], u64> =
             std::collections::HashMap::new();
         for (path, cid, fp, size) in self.sims() {
-            let valid = fs::read(&path)
-                .ok()
-                .and_then(|b| SimObject::decode(&b))
-                .is_some_and(|o| o.is_current() && o.trace_cid == cid && o.fingerprint == fp);
+            let valid = fp == sim_fp
+                && fs::read(&path)
+                    .ok()
+                    .and_then(|b| SimObject::decode(&b))
+                    .is_some_and(|o| o.trace_cid == cid && o.fingerprint == fp);
             if valid {
                 *sim_by_cid.entry(cid).or_default() += size;
             } else {
@@ -1171,21 +1165,6 @@ impl TraceStore {
                 stats.orphan_sims += 1;
                 stats.bytes_freed += size;
                 let _ = fs::remove_file(&path);
-            }
-        }
-        // Legacy flat-layout files from the pre-store cache.
-        if let Ok(entries) = fs::read_dir(&self.root) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let legacy = path
-                    .extension()
-                    .and_then(|e| e.to_str())
-                    .is_some_and(|e| e == "trace" || e == "meta");
-                if path.is_file() && legacy {
-                    stats.legacy_files += 1;
-                    stats.bytes_freed += entry.metadata().map(|m| m.len()).unwrap_or(0);
-                    let _ = fs::remove_file(&path);
-                }
             }
         }
         stats.entries_kept = survivors.len() as u64;
@@ -1562,7 +1541,7 @@ mod tests {
         store.put("live|e1|c1", &mut side, &raw).expect("put");
 
         // Crashed-run debris: tmp files at every level, an object whose
-        // manifest publish failed, and a legacy-style tmp trace.
+        // manifest publish failed, and a tmp file at the store root.
         fs::write(dir.join("bench-0.trace.tmp.123.0"), b"x").expect("tmp");
         fs::write(dir.join("manifest").join("a.m.tmp.123.1"), b"x").expect("tmp");
         let orphan = ObjectImage::build(b"orphan body", true);
@@ -1583,7 +1562,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_drops_stale_salt_bounds_size_and_clears_legacy() {
+    fn gc_drops_stale_salt_and_bounds_size() {
         let (dir, store) = temp_store("gc");
         let raw_old = vec![9u8; 400];
         let raw_a = vec![1u8; 400];
@@ -1596,8 +1575,6 @@ mod tests {
         store.put("b|e1+rev2|c1", &mut side, &raw_b).expect("put");
         std::thread::sleep(std::time::Duration::from_millis(20));
         store.put("c|e1+rev2|c1", &mut side, &raw_c).expect("put");
-        fs::write(dir.join("legacy-deadbeef.trace"), b"old").expect("legacy");
-        fs::write(dir.join("legacy-deadbeef.meta"), b"old").expect("legacy");
 
         // Keep only current-salt entries, bounded so just the two most
         // recent (b, c) fit; a's object becomes unreferenced.
@@ -1607,18 +1584,16 @@ mod tests {
             .filter(|(_, s, _, _)| s.key.ends_with("|e1+rev2|c1") && s.key != "a|e1+rev2|c1")
             .map(|(_, s, n, _)| n + s.stored_bytes)
             .sum::<u64>();
-        let stats = store.gc("|e1+rev2|c1", Some(keep));
-        assert_eq!(stats.stale_entries, 1, "stale-salt entry dropped");
+        let stats = store.gc("|e1+rev2|c1", 7, Some(keep));
+        assert_eq!(stats.stale_entries, 1, "other-fingerprint entry dropped");
         assert_eq!(stats.lru_entries, 1, "oldest current entry LRU-evicted");
         assert_eq!(stats.entries_kept, 2);
-        assert_eq!(stats.legacy_files, 2);
         assert!(stats.orphan_objects >= 2, "stale + evicted objects reclaimed");
         assert!(stats.bytes_freed > 0);
         assert!(store.stat("old|e0.0.9+rev1|c1").is_none());
         assert!(store.stat("a|e1+rev2|c1").is_none());
         assert!(store.get("b|e1+rev2|c1").is_some());
         assert!(store.get("c|e1+rev2|c1").is_some());
-        assert!(!dir.join("legacy-deadbeef.trace").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1707,12 +1682,9 @@ mod tests {
         store.sim_put(&sample_sim(side_a.cid, 7)).expect("sim a");
         store.sim_put(&sample_sim(side_b.cid, 7)).expect("sim b");
 
-        // A stale-schema-rev sim rides along.
-        let mut stale = sample_sim(side_b.cid, 8);
-        stale.schema_rev = checkelide_uarch::SIM_SCHEMA_REV + 1;
+        // A valid sim stored under another sim fingerprint rides along.
+        store.sim_put(&sample_sim(side_b.cid, 8)).expect("sim under fp 8");
         let stale_path = store.sim_path(&side_b.cid, 8);
-        fs::create_dir_all(stale_path.parent().expect("shard")).expect("mkdir");
-        fs::write(&stale_path, stale.encode()).expect("write stale");
 
         // Bound to exactly b's footprint *including* its sim object: a is
         // LRU-evicted and its sim becomes an orphan.
@@ -1722,8 +1694,9 @@ mod tests {
             .find(|(_, s, _, _)| s.key == "b|e1|c1")
             .map(|(_, s, n, _)| n + s.stored_bytes + SIM_OBJECT_LEN as u64)
             .expect("b present");
-        let stats = store.gc("|e1|c1", Some(keep));
-        assert_eq!(stats.stale_sims, 1, "stale-rev sim dropped");
+        let stats = store.gc("|e1|c1", 7, Some(keep));
+        assert_eq!(stats.stale_sims, 1, "other-fingerprint sim dropped");
+        assert!(!stale_path.exists());
         assert_eq!(stats.lru_entries, 1, "a evicted under sim-inclusive bound");
         assert_eq!(stats.orphan_sims, 1, "a's sim reclaimed");
         assert!(stats.bytes_kept >= keep, "kept bytes include sim object");
@@ -1733,7 +1706,7 @@ mod tests {
         // Re-running under a bound that ignores sim bytes would have kept
         // both entries — prove the charge matters by checking a tighter
         // bound (without the sim object's bytes) evicts b too.
-        let stats2 = store.gc("|e1|c1", Some(keep - SIM_OBJECT_LEN as u64));
+        let stats2 = store.gc("|e1|c1", 7, Some(keep - SIM_OBJECT_LEN as u64));
         assert_eq!(stats2.lru_entries, 1, "sim bytes count against the cap");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1754,7 +1727,7 @@ mod tests {
             .find(|(_, s, _, _)| s.key == "a|e1|c1")
             .map(|(_, s, n, _)| n + s.stored_bytes)
             .expect("a present");
-        let stats = store.gc("|e1|c1", Some(keep));
+        let stats = store.gc("|e1|c1", 7, Some(keep));
         assert_eq!(stats.entries_kept, 1);
         assert!(store.stat("a|e1|c1").is_some(), "recently-hit entry survives");
         assert!(store.stat("b|e1|c1").is_none(), "stale entry evicted");

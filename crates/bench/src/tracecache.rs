@@ -25,21 +25,24 @@
 //!
 //! ```text
 //! bench|s<scale>|<mechanism>|opt<bool>|bbv<bool>|it<iterations>
-//!      |cc<entries>x<ways>|src<source hash>|e<engine salt>|c<codec version>
+//!      |cc<entries>x<ways>|src<kernel hash>|e<µop source fp>|c<codec version>
 //! ```
 //!
-//! The source hash is the first 64 bits of the SHA-256 of the
+//! The kernel hash is the first 64 bits of the SHA-256 of the
 //! benchmark's njs source, so editing a kernel invalidates exactly that
 //! kernel's entries.
-//! The engine salt is [`checkelide_engine::trace_salt`] (crate version +
-//! manually-bumped `TRACE_SCHEMA_REV`), so any harness change that alters
-//! µop emission invalidates every entry at once ([`current_key_suffix`]
-//! is what `tracegc` keeps). `RunConfig::timing` is deliberately
-//! **not** part of the key: the timing model is a pure consumer of the
-//! trace, so a trace recorded by an untimed characterization run can be
-//! replayed through `CoreSim` for a timed one and vice versa — this is
-//! exactly what lets `fig2`/`fig3` reuse `fig1`'s executions and
-//! `overheads` reuse `fig8`/`fig9`'s.
+//! The µop source fingerprint is `UOP_SOURCE_FP`, which `build.rs`
+//! computes over the sources of every crate that shapes the µop stream
+//! (lang, runtime, core, engine, opt, isa) and `runner.rs`, which fills
+//! the sidecar. Any edit there — even to a comment — invalidates every
+//! entry at once, with no revision number to remember to bump
+//! ([`current_key_suffix`] is what `tracegc` keeps). The codec version
+//! describes the stored bytes, not behaviour. `RunConfig::timing` is
+//! deliberately **not** part of the key: the timing model is a pure
+//! consumer of the trace, so a trace recorded by an untimed
+//! characterization run can be replayed through `CoreSim` for a timed one
+//! and vice versa — this is exactly what lets `fig2`/`fig3` reuse
+//! `fig1`'s executions and `overheads` reuse `fig8`/`fig9`'s.
 //!
 //! The key is hashed (FNV-1a 64) into the manifest file stem; the full
 //! key string is stored inside the manifest and compared on load, so a
@@ -47,13 +50,11 @@
 //!
 //! # Activation
 //!
-//! Resolution order: the `--trace-cache DIR|off` flag, then the
-//! `CHECKELIDE_TRACE_CACHE` environment variable (`off`/`0`/`none`
-//! disables), then the binary's default (`reproduce` defaults to
-//! `target/trace-cache`; standalone figure binaries default off so a
-//! single-figure run never pays recording overhead unasked). Object
-//! compression is on unless `--trace-compress` (or
-//! `CHECKELIDE_TRACE_COMPRESS`) says `off`.
+//! The `--trace-cache DIR|off` flag (`off`/`0`/`none` disables), else the
+//! binary's default (`reproduce` defaults to `target/trace-cache`;
+//! standalone figure binaries default off so a single-figure run never
+//! pays recording overhead unasked). Object compression is on unless
+//! `--trace-compress` says `off`. No environment variable changes either.
 //!
 //! All statistics are atomics: one `TraceCache` is shared by reference
 //! across the [`crate::pool`] workers.
@@ -70,13 +71,6 @@ use checkelide_engine::Mechanism;
 use checkelide_isa::codec::{TraceError, TraceReader};
 use checkelide_isa::TraceSink;
 use checkelide_uarch::{SimObject, SimResult, SIM_OBJECT_LEN};
-
-/// Environment variable selecting the store directory, or
-/// `off`/`0`/`none` to disable.
-pub const TRACE_CACHE_ENV: &str = "CHECKELIDE_TRACE_CACHE";
-
-/// Environment variable disabling object compression (`off`/`0`/`none`).
-pub const TRACE_COMPRESS_ENV: &str = "CHECKELIDE_TRACE_COMPRESS";
 
 /// Default cache directory for binaries that enable the cache by default.
 pub const DEFAULT_TRACE_CACHE_DIR: &str = "target/trace-cache";
@@ -138,19 +132,11 @@ fn is_off(spec: &str) -> bool {
     matches!(spec, "off" | "0" | "none" | "")
 }
 
-/// Whether new objects are compressed: the `--trace-compress` value when
-/// given, else [`TRACE_COMPRESS_ENV`], else on.
-fn compress_setting(flag: Option<&str>) -> bool {
-    let spec = flag.map(str::to_string).or_else(|| std::env::var(TRACE_COMPRESS_ENV).ok());
-    !spec.as_deref().is_some_and(is_off)
-}
-
 impl TraceCache {
     fn with_store(store: Option<TraceStore>) -> TraceCache {
         TraceCache {
             store,
-            // The env-var default; `from_cli` overrides from `--sim-cache`.
-            sim_mode: SimCacheMode::resolve(None),
+            sim_mode: SimCacheMode::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -193,10 +179,9 @@ impl TraceCache {
 
     /// A cache over a local store rooted at `dir` (created if missing;
     /// falls back to disabled with a warning when the directory cannot be
-    /// created). Objects are compressed unless [`TRACE_COMPRESS_ENV`]
-    /// says `off`.
+    /// created). Objects are compressed.
     pub fn at(dir: impl AsRef<Path>) -> TraceCache {
-        TraceCache::open(dir.as_ref(), compress_setting(None))
+        TraceCache::open(dir.as_ref(), true)
     }
 
     fn open(dir: &Path, compress: bool) -> TraceCache {
@@ -212,15 +197,12 @@ impl TraceCache {
         }
     }
 
-    /// Resolve from an explicit `--trace-cache` value, the
-    /// [`TRACE_CACHE_ENV`] variable, or the binary's default:
-    /// `off`/`0`/`none`/empty disables, anything else is a store
+    /// Resolve from an explicit `--trace-cache` value or the binary's
+    /// default: `off`/`0`/`none`/empty disables, anything else is a store
     /// directory. A spec naming the removed TCP trace-store service is
     /// treated like an unopenable store: it warns and disables the cache.
     fn resolve(flag: Option<&str>, default_on: bool, compress: bool) -> TraceCache {
-        let spec =
-            flag.map(str::to_string).or_else(|| std::env::var(TRACE_CACHE_ENV).ok());
-        match spec.as_deref() {
+        match flag {
             Some(s) if is_off(s) => TraceCache::disabled(),
             Some(s) if s.starts_with("tcp://") => {
                 eprintln!(
@@ -239,7 +221,7 @@ impl TraceCache {
     /// (`--trace-cache DIR|off`, `--trace-compress off`, `--sim-cache`).
     #[must_use]
     pub fn from_cli(cli: &Cli, default_on: bool) -> TraceCache {
-        let compress = compress_setting(cli.value_of("--trace-compress"));
+        let compress = !cli.value_of("--trace-compress").is_some_and(is_off);
         TraceCache::resolve(cli.value_of("--trace-cache"), default_on, compress)
             .with_sim_mode(SimCacheMode::resolve(cli.value_of("--sim-cache")))
     }
@@ -448,16 +430,12 @@ fn key_for_source(bench: &str, source: &str, scale: i32, cfg: &RunConfig) -> Str
     )
 }
 
-/// The schema-salt suffix every *current* key ends with
-/// (`|e<salt>|c<codec version>`). `tracegc` drops entries whose stored
-/// key carries any other suffix.
+/// The suffix every *current* key ends with
+/// (`|e<µop source fp>|c<codec version>`). `tracegc` drops entries whose
+/// stored key carries any other suffix.
 #[must_use]
 pub fn current_key_suffix() -> String {
-    format!(
-        "|e{}|c{}",
-        checkelide_engine::trace_salt(),
-        checkelide_isa::codec::TRACE_VERSION,
-    )
+    format!("|e{}|c{}", env!("UOP_SOURCE_FP"), checkelide_isa::codec::TRACE_VERSION)
 }
 
 /// FNV-1a 64 of the key (the manifest stem hash; see
@@ -526,6 +504,12 @@ mod tests {
     fn keys_end_with_the_current_salt_suffix() {
         let key = cache_key("ai-astar", 4, &RunConfig::characterize());
         assert!(key.ends_with(&current_key_suffix()), "gc keep-suffix must match {key}");
+        // `|e` + the 16-hex-digit µop source fingerprint + `|c<codec>`.
+        let suffix = current_key_suffix();
+        let fp = &suffix[2..suffix.rfind("|c").expect("codec part")];
+        assert_eq!(fp.len(), 16, "{suffix}");
+        assert!(fp.bytes().all(|b| b.is_ascii_hexdigit()), "{suffix}");
+        assert_eq!(fp, env!("UOP_SOURCE_FP"));
     }
 
     #[test]
@@ -555,22 +539,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_compress_flag_reaches_the_store_without_the_environment() {
+    fn trace_compress_flag_reaches_the_store() {
         let dir = std::env::temp_dir()
             .join(format!("checkelide-compress-flag-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let env_before = std::env::var_os(TRACE_COMPRESS_ENV);
         let spec = dir.to_str().expect("utf-8 temp dir");
         let cache =
             TraceCache::from_cli(&cli(&["--trace-cache", spec, "--trace-compress", "off"]), false);
         let store = cache.local_store().expect("store opens");
         assert_eq!(store.root(), dir.as_path());
         assert!(!store.compress(), "--trace-compress off must reach the store");
-        assert_eq!(
-            std::env::var_os(TRACE_COMPRESS_ENV),
-            env_before,
-            "the flag must not be passed through the process environment"
-        );
+        let cache = TraceCache::from_cli(&cli(&["--trace-cache", spec]), false);
+        assert!(cache.local_store().expect("store opens").compress(), "compression defaults on");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,7 @@
 //!    completes and produces its row.
 
 use checkelide_bench::figures::{self, INJECT_PANIC_ENV};
-use checkelide_bench::ToJson;
+use checkelide_bench::{ToJson, TraceCache};
 use std::sync::Mutex;
 
 /// Serializes tests that read or mutate `CHECKELIDE_INJECT_PANIC`:
@@ -24,8 +24,9 @@ fn rows_json<R: ToJson>(rows: &[R]) -> String {
 #[test]
 fn fig1_rows_are_byte_identical_across_job_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let serial = figures::fig1_report(true, 1);
-    let parallel = figures::fig1_report(true, 4);
+    let off = TraceCache::disabled();
+    let serial = figures::fig1_report_cached(true, 1, &off);
+    let parallel = figures::fig1_report_cached(true, 4, &off);
     assert!(serial.failures.is_empty(), "serial failures: {:?}", serial.failures);
     assert!(parallel.failures.is_empty(), "parallel failures: {:?}", parallel.failures);
     assert_eq!(
@@ -38,8 +39,9 @@ fn fig1_rows_are_byte_identical_across_job_counts() {
 #[test]
 fn fig89_rows_are_byte_identical_across_job_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let serial = figures::fig89_report(true, 1);
-    let parallel = figures::fig89_report(true, 4);
+    let off = TraceCache::disabled();
+    let serial = figures::fig89_report_cached(true, 1, &off);
+    let parallel = figures::fig89_report_cached(true, 4, &off);
     assert!(serial.failures.is_empty(), "serial failures: {:?}", serial.failures);
     assert!(parallel.failures.is_empty(), "parallel failures: {:?}", parallel.failures);
     assert_eq!(
@@ -54,7 +56,7 @@ fn injected_panic_is_isolated_to_its_cell() {
     let _guard = ENV_LOCK.lock().unwrap();
     let victim = "richards";
     std::env::set_var(INJECT_PANIC_ENV, victim);
-    let report = figures::fig1_report(true, 4);
+    let report = figures::fig1_report_cached(true, 4, &TraceCache::disabled());
     std::env::remove_var(INJECT_PANIC_ENV);
 
     // Exactly the injected cell failed, as a CellError with the panic

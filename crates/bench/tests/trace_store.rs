@@ -79,7 +79,7 @@ fn gc_binary_drops_stale_salt_and_bounds_size() {
     assert_eq!(run_one(&cache, cfg), CacheDisposition::Miss);
     let live_key = cache.entry("ai-astar", 1, &cfg).expect("enabled").key;
 
-    // Hand-plant an entry recorded under an obsolete schema salt.
+    // Hand-plant an entry recorded under another source fingerprint.
     let store = cache.local_store().expect("local backend");
     let stale_key = "ai-astar|s1|profile|optfalse|bbvfalse|it2|cc0x0|e0.0.0+rev0|c0";
     let mut stale = store.stat(&live_key).expect("live entry").clone();
@@ -109,8 +109,9 @@ fn gc_binary_drops_stale_salt_and_bounds_size() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `tracegc` pass on the sim-result layer: stale-`SIM_SCHEMA_REV` and
-/// orphaned (trace-less) sim objects are reclaimed while the live one
+/// The `tracegc` pass on the sim-result layer: sim objects stored under
+/// another sim fingerprint (other simulator source or core configuration)
+/// and orphaned (trace-less) ones are reclaimed while the live one
 /// survives, and a surviving entry's sim bytes count against
 /// `--max-store-bytes` — a budget one byte short of
 /// (manifest + object + sim object) must evict the entry, proving the
@@ -127,18 +128,13 @@ fn gc_binary_reclaims_sim_objects_and_charges_their_bytes() {
     let fp = sim_fingerprint();
     let good = store.sim_get(&side.cid, fp).expect("cold run published its sim result");
 
-    // Plant a stale-revision sim object (valid checksum, obsolete
-    // schema_rev) under a sibling fingerprint, and a valid sim riding on
-    // a stale-salt trace entry: when gc drops that entry, its sim loses
-    // its last manifest reference and must be reclaimed as an orphan in
-    // the same pass. (A sim with no manifest at all never reaches gc —
-    // the store sweeps those at open.)
-    let stale = SimObject {
-        schema_rev: 0,
-        trace_cid: side.cid,
-        fingerprint: fp ^ 1,
-        result: good.result.clone(),
-    };
+    // Plant a valid sim object for the live trace under a sibling
+    // fingerprint (as other simulator code would have stored it), and a
+    // valid sim riding on a stale-salt trace entry: when gc drops that
+    // entry, its sim loses its last manifest reference and must be
+    // reclaimed as an orphan in the same pass. (A sim with no manifest at
+    // all never reaches gc — the store sweeps those at open.)
+    let stale = SimObject::new(side.cid, fp ^ 1, good.result.clone());
     store.sim_put(&stale).expect("plant stale sim");
     let stale_key = "ai-astar|s1|profile|optfalse|bbvfalse|it2|cc0x0|e0.0.0+rev0|c0";
     let mut doomed_side = side.clone();
@@ -161,7 +157,7 @@ fn gc_binary_reclaims_sim_objects_and_charges_their_bytes() {
     let report = gc(&[]);
     assert!(report.contains("1 stale + 1 orphan sim objects"), "gc reports sim work: {report}");
     assert!(store.sim_get(&side.cid, fp).is_some(), "current sim object survives");
-    assert!(!store.sim_path(&side.cid, fp ^ 1).exists(), "stale-rev sim reclaimed");
+    assert!(!store.sim_path(&side.cid, fp ^ 1).exists(), "other-fingerprint sim reclaimed");
     assert!(store.stat(stale_key).is_none(), "stale-salt entry dropped");
     assert!(!store.sim_path(&doomed_side.cid, fp).exists(), "orphaned sim reclaimed with it");
     assert_eq!(store.sim_summary(), (1, SIM_OBJECT_LEN as u64));

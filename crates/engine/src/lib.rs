@@ -46,23 +46,6 @@ pub use vm::{
     FunctionInfo, Mechanism, OptimizedCode, OptimizerHook, Vm, VmError, VmStats, STEP_BUDGET_MSG,
 };
 
-/// Revision of the µop emission schema. **Bump this whenever a change
-/// anywhere in the engine, optimizer or runtime alters the µop stream a
-/// given source program produces** (new µop sequences, reordered emission,
-/// different addresses/tokens, category reclassification, …). It is folded
-/// into [`trace_salt`], which keys the on-disk trace cache: bumping it
-/// invalidates every recorded trace at once, so stale traces can never be
-/// replayed against a harness that would no longer produce them.
-pub const TRACE_SCHEMA_REV: u32 = 2;
-
-/// Cache-invalidation salt identifying the µop-producing side of the
-/// system: the crate version plus the manually-bumped
-/// [`TRACE_SCHEMA_REV`]. Consumers (the bench trace cache) additionally
-/// mix in the codec's own format version.
-pub fn trace_salt() -> String {
-    format!("{}+rev{}", env!("CARGO_PKG_VERSION"), TRACE_SCHEMA_REV)
-}
-
 impl Vm {
     /// Read a global by name (test/harness convenience).
     pub fn global_value(&self, name: &str) -> Option<checkelide_runtime::Value> {

@@ -663,7 +663,7 @@ impl Vm {
                 ExecResult::Return(v) => return Ok(v),
                 ExecResult::Error(e) => return Err(e),
                 ExecResult::Deopt(state) => {
-                    self.on_deopt(sink, func, state.reason);
+                    self.on_deopt(sink, func);
                     // Resume in the interpreter at the deopt point. The
                     // reconstructed locals/stack move straight into the
                     // frame (and are recycled into the pool afterwards).
@@ -738,15 +738,8 @@ impl Vm {
     }
 
     /// Record a deopt of `func` and discard its optimized code.
-    pub fn on_deopt(&mut self, sink: &mut BatchSink<'_>, func: u32, reason: DeoptReason) {
+    pub fn on_deopt(&mut self, sink: &mut BatchSink<'_>, func: u32) {
         self.stats.deopts += 1;
-        if std::env::var_os("CHECKELIDE_TRACE_DEOPT").is_some() {
-            eprintln!(
-                "deopt: {} reason={reason:?} (count {})",
-                self.funcs[func as usize].decl.name,
-                self.funcs[func as usize].deopt_count + 1
-            );
-        }
         let mut em = Emitter::new(Region::Runtime);
         em.at(stubs::DEOPT);
         em.stub_call(sink, stubs::DEOPT, 40, 10);

@@ -36,7 +36,7 @@ pub use caches::{BranchPredictor, Cache, CacheStats, Tlb};
 pub use config::{CacheGeometry, CoreConfig};
 pub use core::{CoreSim, RegionTotals, SimResult};
 pub use energy::EnergyParams;
-pub use simresult::{config_fingerprint, SimObject, SIM_OBJECT_LEN, SIM_SCHEMA_REV};
+pub use simresult::{config_fingerprint, SimObject, SIM_OBJECT_LEN};
 
 use checkelide_isa::uop::Region;
 

@@ -2,10 +2,13 @@
 //! core-configuration fingerprint that keys them.
 //!
 //! A simulation is a pure function of `(µop trace, CoreConfig,
-//! EnergyParams, simulator revision)`: the trace store already gives every
+//! EnergyParams, simulator source)`: the trace store already gives every
 //! recording a verified SHA-256 content ID, so memoizing [`SimResult`]
-//! under the key `(trace CID, config fingerprint, SIM_SCHEMA_REV)` lets
-//! every consumer pay CoreSim exactly once per unique trace. The encoding
+//! under the key `(trace CID, fingerprint)` lets every consumer pay
+//! CoreSim exactly once per unique trace. The fingerprint is the
+//! caller's: the harness folds [`config_fingerprint`] together with a
+//! hash of the simulator's own source, so an edit to the timing model
+//! keys new results instead of serving old ones. The encoding
 //! is bit-exact — `f64` energy fields are stored as raw IEEE-754 bits via
 //! `to_bits`/`from_bits` — so a decoded object compares equal (derived
 //! `PartialEq`, i.e. bitwise on the floats) to the live simulation it
@@ -14,37 +17,30 @@
 //! Layout (all integers little-endian, fixed [`SIM_OBJECT_LEN`] bytes):
 //!
 //! ```text
-//! "CKSR" | format u32 | schema_rev u32 | trace_cid [32] |
-//! fingerprint u64 | payload 34 × u64 | fnv1a64 checksum u64
+//! "CKSR" | format u32 | trace_cid [32] | fingerprint u64 |
+//! payload 34 × u64 | fnv1a64 checksum u64
 //! ```
 //!
 //! The payload is every [`SimResult`] field in declaration order (`f64`s
-//! as raw bits). The object is self-describing — magic, revision, trace
-//! CID and checksum are all inline — so a garbage collector can classify
-//! a sim object (current / stale revision / orphaned trace / corrupt)
-//! from the file alone. Bump [`SIM_SCHEMA_REV`] whenever CoreSim's
-//! observable accounting changes; old objects then decode as stale and
-//! are re-simulated.
+//! as raw bits). The object is self-describing — magic, trace CID,
+//! fingerprint and checksum are all inline — so a garbage collector can
+//! classify a sim object (current / other fingerprint / orphaned trace /
+//! corrupt) from the file alone.
 
 use crate::caches::CacheStats;
 use crate::config::CoreConfig;
 use crate::core::{RegionTotals, SimResult};
 use crate::energy::EnergyParams;
 
-/// Simulator-accounting revision. Part of the memoization key: bump this
-/// whenever CoreSim changes what a [`SimResult`] would contain for the
-/// same trace and configuration.
-pub const SIM_SCHEMA_REV: u32 = 1;
-
 /// On-disk format revision of the container itself.
-const SIM_FORMAT_VERSION: u32 = 1;
+const SIM_FORMAT_VERSION: u32 = 2;
 
 /// `SimResult` payload size in 64-bit words (fields in declaration
 /// order; `f64`s as raw bits).
 const PAYLOAD_WORDS: usize = 34;
 
 /// Exact encoded size of a sim object in bytes.
-pub const SIM_OBJECT_LEN: usize = 4 + 4 + 4 + 32 + 8 + PAYLOAD_WORDS * 8 + 8;
+pub const SIM_OBJECT_LEN: usize = 4 + 4 + 32 + 8 + PAYLOAD_WORDS * 8 + 8;
 
 const MAGIC: &[u8; 4] = b"CKSR";
 
@@ -110,26 +106,19 @@ pub fn config_fingerprint(config: &CoreConfig, energy: &EnergyParams) -> u64 {
 /// under, as stored in a `CKSR` object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimObject {
-    /// [`SIM_SCHEMA_REV`] at encode time.
-    pub schema_rev: u32,
     /// SHA-256 content ID of the µop trace that was simulated.
     pub trace_cid: [u8; 32],
-    /// [`config_fingerprint`] of the configuration simulated under.
+    /// The caller's fingerprint of the configuration (and simulator)
+    /// simulated under.
     pub fingerprint: u64,
     /// The memoized result.
     pub result: SimResult,
 }
 
 impl SimObject {
-    /// Wrap a freshly simulated result under the current schema revision.
+    /// Wrap a freshly simulated result.
     pub fn new(trace_cid: [u8; 32], fingerprint: u64, result: SimResult) -> SimObject {
-        SimObject { schema_rev: SIM_SCHEMA_REV, trace_cid, fingerprint, result }
-    }
-
-    /// True when this object was produced by the current simulator
-    /// revision (stale objects must be re-simulated, not trusted).
-    pub fn is_current(&self) -> bool {
-        self.schema_rev == SIM_SCHEMA_REV
+        SimObject { trace_cid, fingerprint, result }
     }
 
     /// Serialize to the fixed-size `CKSR` byte form.
@@ -138,7 +127,6 @@ impl SimObject {
         let mut out = Vec::with_capacity(SIM_OBJECT_LEN);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&SIM_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.schema_rev.to_le_bytes());
         out.extend_from_slice(&self.trace_cid);
         out.extend_from_slice(&self.fingerprint.to_le_bytes());
         let mut put = |v: u64| out.extend_from_slice(&v.to_le_bytes());
@@ -169,9 +157,9 @@ impl SimObject {
     }
 
     /// Decode a `CKSR` object, rejecting any structural defect: wrong
-    /// length, magic, container version, or checksum. A stale
-    /// `schema_rev` still decodes (so callers can classify it); check
-    /// [`SimObject::is_current`] before trusting the result.
+    /// length, magic, container version, or checksum. An object under
+    /// another fingerprint still decodes; the caller compares the
+    /// fingerprint with the one it looked up.
     pub fn decode(bytes: &[u8]) -> Option<SimObject> {
         if bytes.len() != SIM_OBJECT_LEN || &bytes[..4] != MAGIC {
             return None;
@@ -181,13 +169,11 @@ impl SimObject {
         if fnv1a64(body) != stored {
             return None;
         }
-        let word32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        if word32(4) != SIM_FORMAT_VERSION {
+        if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != SIM_FORMAT_VERSION {
             return None;
         }
-        let schema_rev = word32(8);
-        let trace_cid: [u8; 32] = bytes[12..44].try_into().unwrap();
-        let mut at = 44;
+        let trace_cid: [u8; 32] = bytes[8..40].try_into().unwrap();
+        let mut at = 40;
         let mut take = || {
             let v = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
             at += 8;
@@ -230,7 +216,7 @@ impl SimObject {
             mem_wait: take(),
         };
         debug_assert_eq!(at, SIM_OBJECT_LEN - 8);
-        Some(SimObject { schema_rev, trace_cid, fingerprint, result })
+        Some(SimObject { trace_cid, fingerprint, result })
     }
 }
 
@@ -277,13 +263,12 @@ mod tests {
         let back = SimObject::decode(&bytes).expect("decode");
         assert_eq!(back, obj);
         assert_eq!(back.result.energy_pj.to_bits(), (-0.0f64).to_bits());
-        assert!(back.is_current());
     }
 
     #[test]
     fn truncation_and_extension_are_rejected() {
         let bytes = SimObject::new([1; 32], 42, sample_result(0)).encode();
-        for len in [0, 4, 12, 44, SIM_OBJECT_LEN - 1] {
+        for len in [0, 4, 8, 40, SIM_OBJECT_LEN - 1] {
             assert!(SimObject::decode(&bytes[..len]).is_none(), "len {len}");
         }
         let mut long = bytes.clone();
@@ -299,15 +284,6 @@ mod tests {
             bad[at] ^= 0x40;
             assert!(SimObject::decode(&bad).is_none(), "flip at byte {at} accepted");
         }
-    }
-
-    #[test]
-    fn stale_schema_rev_decodes_but_is_not_current() {
-        let mut obj = SimObject::new([3; 32], 9, sample_result(1));
-        obj.schema_rev = SIM_SCHEMA_REV + 1;
-        let back = SimObject::decode(&obj.encode()).expect("stale rev must still decode");
-        assert!(!back.is_current());
-        assert_eq!(back.schema_rev, SIM_SCHEMA_REV + 1);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Knob census: README's "Environment variables" table must list exactly
 //! the `CHECKELIDE_*` variables that non-test code under `crates/*/src`
 //! names. A new knob without documentation, or a documented knob the code
-//! no longer reads, fails this test.
+//! no longer reads, fails this test. Flags are the settings surface: the
+//! one environment read non-test code may make is the fault-injection
+//! test hook in `figures.rs`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -21,10 +23,15 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every `"CHECKELIDE_…"` string literal in `text` before its first
-/// `#[cfg(test)]` (unit tests sit at the end of each source file).
+/// `text` before its first `#[cfg(test)]` (unit tests sit at the end of
+/// each source file).
+fn non_test(text: &str) -> &str {
+    text.split("#[cfg(test)]").next().unwrap_or("")
+}
+
+/// Every `"CHECKELIDE_…"` string literal in the non-test part of `text`.
 fn literals_in(text: &str, found: &mut BTreeSet<String>) {
-    let code = text.split("#[cfg(test)]").next().unwrap_or("");
+    let code = non_test(text);
     for (at, _) in code.match_indices(PREFIX) {
         let name: String = code[at + 1..]
             .chars()
@@ -34,15 +41,38 @@ fn literals_in(text: &str, found: &mut BTreeSet<String>) {
     }
 }
 
-fn variables_read_by_code(root: &Path) -> BTreeSet<String> {
+/// Every non-comment, non-test line of `text` that calls into the
+/// `std::env::var*` family (`var`, `var_os`, `vars`, `vars_os`), trimmed.
+fn env_reads_in(text: &str) -> Vec<String> {
+    non_test(text)
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.starts_with("//") && l.contains("env::var"))
+        .map(String::from)
+        .collect()
+}
+
+/// `(path below crates/, source)` of every `.rs` file under `crates/*/src`.
+fn sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     for krate in fs::read_dir(root.join("crates")).expect("crates/") {
         rust_files(&krate.expect("crate entry").path().join("src"), &mut files);
     }
     assert!(!files.is_empty(), "no sources found under crates/*/src");
+    let crates = root.join("crates");
+    files
+        .into_iter()
+        .map(|f| {
+            let rel = f.strip_prefix(&crates).expect("under crates/").to_string_lossy();
+            (rel.replace('\\', "/"), fs::read_to_string(&f).expect("read source"))
+        })
+        .collect()
+}
+
+fn variables_read_by_code(root: &Path) -> BTreeSet<String> {
     let mut found = BTreeSet::new();
-    for f in files {
-        literals_in(&fs::read_to_string(&f).expect("read source"), &mut found);
+    for (_, text) in sources(root) {
+        literals_in(&text, &mut found);
     }
     found
 }
@@ -75,6 +105,26 @@ fn readme_table_lists_exactly_the_variables_the_code_reads() {
 }
 
 #[test]
+fn non_test_code_reads_the_environment_at_one_site() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let reads: Vec<(String, String)> = sources(root)
+        .into_iter()
+        .flat_map(|(file, text)| {
+            env_reads_in(&text).into_iter().map(move |line| (file.clone(), line))
+        })
+        .collect();
+    let allowed = [(
+        "bench/src/figures.rs".to_string(),
+        "let inject = std::env::var(INJECT_PANIC_ENV).ok();".to_string(),
+    )];
+    assert_eq!(
+        reads, allowed,
+        "only the fault-injection test hook may read the environment; \
+         settings are command-line flags (crates/bench/src/cli.rs)"
+    );
+}
+
+#[test]
 fn census_parsers_find_literals_and_rows() {
     let mut found = BTreeSet::new();
     literals_in(
@@ -87,4 +137,17 @@ fn census_parsers_find_literals_and_rows() {
         "| variable | effect |\n|---|---|\n| `CHECKELIDE_ONE` | x |\nsee `CHECKELIDE_TWO`\n",
     );
     assert_eq!(rows, ["CHECKELIDE_ONE"].map(String::from).into());
+    let reads = env_reads_in(
+        "use std::env;\nlet a = env::var(\"A\");\n// env::var in a comment\n\
+         let b = std::env::var_os(B);\nfor (k, _) in env::vars() {}\n\
+         #[cfg(test)]\nmod tests { let c = std::env::var(\"C\"); }",
+    );
+    assert_eq!(
+        reads,
+        [
+            "let a = env::var(\"A\");",
+            "let b = std::env::var_os(B);",
+            "for (k, _) in env::vars() {}"
+        ]
+    );
 }
