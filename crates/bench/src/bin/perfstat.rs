@@ -57,7 +57,7 @@
 
 use checkelide_bench::figures::{fig1_report_cached, fig89_report_cached, save_json, BBV_CONFIGS};
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
-use checkelide_bench::store::{sha256, sha256_backend, ObjectWriter, Sidecar, TraceStore};
+use checkelide_bench::store::{sha256, sha256_backend, Sidecar, TraceStore};
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
 use checkelide_engine::{EngineConfig, Mechanism, Vm};
 use checkelide_isa::codec::{encode_trace, TraceReader, TraceWriter};
@@ -274,22 +274,24 @@ fn main() {
         assert_eq!(n, trace.len() as u64);
     });
     // The recorder a cold cell runs: encode, hash and compress streamed
-    // into the object image, and the one-shot LZ pass on the same body.
+    // into an object file of a temporary store (removed unpublished), and
+    // the one-shot LZ pass on the same body.
+    let read_dir = std::env::temp_dir()
+        .join(format!("checkelide-perfstat-read-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&read_dir);
+    let read_store = TraceStore::open(&read_dir, true).expect("temp store");
     let trace_record_mops = mops(trace.len(), reps, || {
-        let mut w = TraceWriter::new(ObjectWriter::new(true)).expect("object writer");
+        let mut w = TraceWriter::new(read_store.object_writer().expect("object writer"))
+            .expect("object writer");
         w.emit_batch(std::hint::black_box(&trace));
-        let (object, _) = w.finish_file().expect("infallible sink");
-        std::hint::black_box(object.finish());
+        let (object, _) = w.finish_file().expect("recording");
+        std::hint::black_box(object.finish().expect("object file"));
     });
     let lz_compress_mbps = mops(encoded.len(), reps, || {
         std::hint::black_box(lz::compress(std::hint::black_box(&encoded)));
     });
     // The reader a timed hit runs: the stored object read back from disk
     // in blocks, decompressed, hashed and decoded in one stream.
-    let read_dir = std::env::temp_dir()
-        .join(format!("checkelide-perfstat-read-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&read_dir);
-    let read_store = TraceStore::open(&read_dir, true).expect("temp store");
     let mut side = Sidecar::default();
     read_store.put("perfstat-read", &mut side, &encoded).expect("object stored");
     let trace_read_mops = mops(trace.len(), reps, || {

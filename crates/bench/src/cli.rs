@@ -12,6 +12,9 @@
 //!   available parallelism);
 //! * positionals: the first argument that is neither a flag nor the value
 //!   of a known value-taking flag ([`Cli::positional_or`]).
+//!
+//! Any other `--flag` is rejected: the process exits with status 2,
+//! naming it, so a typo cannot silently leave a setting at its default.
 
 /// Flags that consume the following argument as their value. Needed to
 /// tell `--jobs 4 foo` (positional `foo`) apart from `--jobs 4` alone.
@@ -50,7 +53,16 @@ impl Cli {
     }
 
     /// Parse an explicit argument vector (no program name).
+    ///
+    /// Exits the process with status 2 on an unknown `--flag`.
     pub fn from_args(args: Vec<String>) -> Cli {
+        if let Some(flag) = unknown_flag(&args) {
+            eprintln!(
+                "error: unknown flag `{flag}` (known: --quick, {})",
+                VALUE_FLAGS.join(", ")
+            );
+            std::process::exit(2);
+        }
         let quick = args.iter().any(|a| a == "--quick");
         let jobs = jobs(&args);
         Cli { quick, jobs, args }
@@ -122,6 +134,23 @@ impl Cli {
     }
 }
 
+/// The first `--flag` (or `--flag=V`) that is neither `--quick` nor in
+/// [`VALUE_FLAGS`]; the value after a value flag is never a flag.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
+        if VALUE_FLAGS.contains(&name) {
+            if name == a {
+                it.next();
+            }
+        } else if a.starts_with("--") && a != "--quick" {
+            return Some(a);
+        }
+    }
+    None
+}
+
 /// The first parsable `--jobs N` / `-j N` / `--jobs=N` value (0 clamps to
 /// 1), else the machine's available parallelism, else 1. A value that
 /// does not parse warns and is skipped.
@@ -191,6 +220,20 @@ mod tests {
         assert_eq!(c.positional_or("ai-astar"), "ai-astar");
         let c = cli(&["splay"]);
         assert_eq!(c.positional_or("x"), "splay");
+    }
+
+    #[test]
+    fn unknown_flags_are_found() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let unknown = |a: &[&str]| unknown_flag(&args(a)).map(str::to_string);
+        assert_eq!(unknown(&["--quick", "--jobs", "2", "--store=d", "fig1", "-j", "1"]), None);
+        assert_eq!(unknown(&["--store", "--odd-dir-name"]), None, "a flag's value");
+        assert_eq!(
+            unknown(&["--store", "d", "--max-store-byte", "1"]).as_deref(),
+            Some("--max-store-byte")
+        );
+        assert_eq!(unknown(&["--trace-compres=off"]).as_deref(), Some("--trace-compres=off"));
+        assert_eq!(unknown(&["--quick=1"]).as_deref(), Some("--quick=1"));
     }
 
     #[test]

@@ -348,12 +348,13 @@ pub fn try_run_benchmark_cached(
         sim_tel.misses += 1;
         cache.note_sim_miss();
     }
-    // Record straight into the store's object format: each encoded frame
-    // streams through the content-ID hash and the LZ compressor as the
-    // measured iteration runs, so the raw body (~5 B/µop, tens of MB at
-    // full scale) never exists as one buffer — only the compressed
-    // object does.
-    let mut writer = match TraceWriter::new(cache.object_writer()) {
+    // Record straight into the store: each encoded frame streams through
+    // the content-ID hash and the LZ compressor into the object's tmp
+    // file as the measured iteration runs, so neither the raw body
+    // (~5 B/µop, tens of MB at full scale) nor the compressed object is
+    // ever one buffer. A run that fails or panics drops the writer,
+    // which removes the file.
+    let mut writer = match cache.object_writer().and_then(TraceWriter::new) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("warning: trace cache cannot record {}: {e}", bench.name);
@@ -361,7 +362,7 @@ pub fn try_run_benchmark_cached(
         }
     };
     let out = run_live(bench, cfg, Some(&mut writer))?;
-    match writer.finish_file() {
+    match writer.finish_file().and_then(|(object, stats)| Ok((object.finish()?, stats))) {
         Ok((object, stats)) if stats.uops == out.uops => {
             let mut side = Sidecar {
                 key: entry.key.clone(),
@@ -380,7 +381,7 @@ pub fn try_run_benchmark_cached(
             };
             // publish() fills the content-store location fields and
             // warns (never fails the run) on store write problems.
-            cache.publish(&entry, &mut side, &object.finish());
+            cache.publish(&entry, &mut side, object);
             // Memoize the live simulation under the freshly-assigned CID:
             // the live CoreSim saw exactly the µops the recording holds
             // (one Tee fan-out), so a cold run warms both cache layers.

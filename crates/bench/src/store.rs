@@ -30,19 +30,29 @@
 //!   **raw** bytes, so the same trace stored compressed and uncompressed
 //!   dedups to one identity and every read re-verifies content integrity
 //!   end to end (decompress, hash, compare).
-//! * Recordings are written through an [`ObjectWriter`], which streams
-//!   the raw bytes through the hash and the compressor as they arrive, so
-//!   the raw body is never held in memory. Bodies are read back the same
-//!   way, through the [`BodyReader`] of [`TraceStore::open_body`]: file
-//!   blocks in, decompressed and hashed chunks out, verified at the end.
+//! * Every object is written through an [`ObjectWriter`], which streams
+//!   the raw bytes through the hash and the compressor as they arrive
+//!   and appends the payload to a `*.tmp.*` file in the store root in
+//!   blocks, so neither the raw body nor the object is held in memory.
+//!   [`TraceStore::put_object`] renames the finished file into
+//!   `objects/`, or removes it when the trace is already stored. Bodies
+//!   are read back the same way, through the [`BodyReader`] of
+//!   [`TraceStore::open_body`]: file blocks in, decompressed and hashed
+//!   chunks out, verified at the end.
 //!
 //! # Crash safety and reclamation
 //!
-//! Publishes are ordered object-first, manifest-last, each through a
-//! same-directory tmp + rename, so a crash can never produce a manifest
-//! pointing at a missing body. The inverse orphans — `*.tmp.*` files from
-//! interrupted writes and objects whose manifest publish failed — are
-//! swept on [`TraceStore::open`]. [`TraceStore::gc`] additionally drops
+//! Publishes are ordered object-first, manifest-last, each by a rename
+//! of a tmp file (objects from the store root, manifests and sim objects
+//! from their own directory), so a crash can never produce a manifest
+//! pointing at a missing body. A writer dropped unfinished — a failed or
+//! panicking recording — removes its tmp file. The inverse orphans —
+//! `*.tmp.*` files of crashed processes and objects whose manifest
+//! publish failed — are swept on [`TraceStore::open`]. That sweep does
+//! not know which tmp files are live: a second process opening the same
+//! store can remove a recording in progress, which then fails to
+//! publish and leaves its cell an unrecorded miss, never wrong data.
+//! One store shared by concurrent processes is not a workload here. [`TraceStore::gc`] additionally drops
 //! manifests whose key carries another source fingerprint and sim objects
 //! stored under another sim fingerprint, bounds total store size (LRU by
 //! manifest mtime; hits refresh the mtime), and removes unreferenced
@@ -53,7 +63,7 @@
 //! and object, and the caller re-records.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::SystemTime;
@@ -101,9 +111,59 @@ pub const COMPRESS_LZ: u8 = 1;
 /// are ~100 MB; this is a corruption guard, not a design limit).
 pub const MAX_OBJECT_RAW_LEN: u64 = 1 << 32;
 
-/// One encoded object file: `CKOB | version | compression | raw_len:u64le
-/// | payload`, self-describing so a reader needs no manifest to decode it.
-#[derive(Debug, Clone)]
+/// The 14-byte header of an object file: `CKOB | version | compression |
+/// raw_len:u64le`, so a reader needs no manifest to decode the payload
+/// that follows.
+fn object_header(compression: u8, raw_len: u64) -> [u8; OBJECT_HEADER_LEN] {
+    let mut head = [0u8; OBJECT_HEADER_LEN];
+    head[..4].copy_from_slice(&OBJECT_MAGIC);
+    head[4] = OBJECT_VERSION;
+    head[5] = compression;
+    head[6..].copy_from_slice(&raw_len.to_le_bytes());
+    head
+}
+
+/// A `*.tmp.*` file this process is writing. Dropping it removes the
+/// file, unless [`TmpFile::persist`] renamed it into place.
+#[derive(Debug)]
+struct TmpFile(PathBuf);
+
+impl TmpFile {
+    /// Create an empty tmp file beside `base`, named after it and unique
+    /// within this process, open for reading and writing.
+    fn create(base: &Path) -> io::Result<(TmpFile, File)> {
+        static SEQ: AtomicU32 = AtomicU32::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let mut name = base.file_name().map(|s| s.to_os_string()).unwrap_or_default();
+        name.push(format!(".tmp.{}.{n}", std::process::id()));
+        let path = base.with_file_name(name);
+        let file =
+            File::options().read(true).write(true).create(true).truncate(true).open(&path)?;
+        Ok((TmpFile(path), file))
+    }
+
+    /// Rename the file to `to` (atomic within one file system).
+    fn persist(mut self, to: &Path) -> io::Result<()> {
+        let path = std::mem::take(&mut self.0);
+        fs::rename(&path, to).inspect_err(|_| {
+            let _ = fs::remove_file(&path);
+        })
+    }
+}
+
+impl Drop for TmpFile {
+    fn drop(&mut self) {
+        if !self.0.as_os_str().is_empty() {
+            let _ = fs::remove_file(&self.0);
+        }
+    }
+}
+
+/// A finished object file, not yet published: a tmp file in the store
+/// root holding the whole object (header and payload), and the location
+/// fields a manifest records for it. [`TraceStore::put_object`] renames
+/// it into `objects/`; dropping it unpublished removes the file.
+#[derive(Debug)]
 pub struct ObjectImage {
     /// SHA-256 of the raw (uncompressed) trace bytes.
     pub cid: [u8; 32],
@@ -111,19 +171,16 @@ pub struct ObjectImage {
     pub compression: u8,
     /// Raw (uncompressed) payload size.
     pub raw_len: u64,
-    /// The full file image, header included.
-    pub bytes: Vec<u8>,
+    /// Object file size, header included.
+    pub stored_len: u64,
+    file: TmpFile,
 }
 
 impl ObjectImage {
-    /// Build the file image for a raw trace body, compressing when asked
-    /// *and* when compression actually shrinks the payload: one
-    /// [`ObjectWriter`] write of the whole body.
+    /// The tmp file holding the object until it is published.
     #[must_use]
-    pub fn build(raw: &[u8], compress: bool) -> ObjectImage {
-        let mut w = ObjectWriter::new(compress);
-        w.push(raw);
-        w.finish()
+    pub fn path(&self) -> &Path {
+        &self.file.0
     }
 
     /// Fill `side`'s content-store location fields from this image.
@@ -131,88 +188,111 @@ impl ObjectImage {
         side.cid = self.cid;
         side.compression = self.compression;
         side.trace_bytes = self.raw_len;
-        side.stored_bytes = self.bytes.len() as u64;
+        side.stored_bytes = self.stored_len;
     }
 }
 
-/// Streams a raw trace body into its [`ObjectImage`]: every write feeds
-/// the content-ID hash and, when compressing, the LZ stream, so the raw
-/// body is never held. The image is built in place behind a reserved
-/// header; [`ObjectWriter::finish`] returns exactly what
-/// [`ObjectImage::build`] returns for the concatenated input.
+/// Streams a raw trace body into an object file as it arrives: every
+/// write feeds the content-ID hash and either the LZ compressor, whose
+/// stream is drained to the file every [`BODY_BLOCK`], or (compression
+/// off) the file itself through one block of buffer. Neither the raw
+/// body nor the object is ever held in memory. Made by
+/// [`TraceStore::object_writer`]; dropping an unfinished writer removes
+/// its tmp file. After a write error the writer is unusable: drop it.
 #[derive(Debug)]
 pub struct ObjectWriter {
     sha: Sha256,
     raw_len: u64,
-    body: ObjectBody,
-}
-
-#[derive(Debug)]
-enum ObjectBody {
-    /// The LZ stream, after the reserved header.
-    Lz(lz::Compressor),
-    /// The raw payload, after the reserved header.
-    Raw(Vec<u8>),
+    /// The compressor, or `None` when the payload is the raw body.
+    lz: Option<lz::Compressor>,
+    /// Payload bytes written so far, after the reserved header.
+    payload_len: u64,
+    out: BufWriter<File>,
+    /// The store root, where the raw fallback's file is made.
+    root: PathBuf,
+    file: TmpFile,
 }
 
 impl ObjectWriter {
-    /// A writer for one object, LZ-compressed when `compress` is set and
-    /// compression shrinks the payload.
-    #[must_use]
-    pub fn new(compress: bool) -> ObjectWriter {
-        let header = vec![0; OBJECT_HEADER_LEN];
-        let body = if compress {
-            ObjectBody::Lz(lz::Compressor::appending_to(header))
-        } else {
-            ObjectBody::Raw(header)
-        };
-        ObjectWriter { sha: Sha256::new(), raw_len: 0, body }
-    }
-
-    /// Append `raw` bytes to the body (the infallible form of
-    /// [`Write::write_all`]).
-    pub fn push(&mut self, raw: &[u8]) {
-        self.sha.update(raw);
-        self.raw_len += raw.len() as u64;
-        match &mut self.body {
-            ObjectBody::Lz(c) => c.write(raw),
-            ObjectBody::Raw(bytes) => bytes.extend_from_slice(raw),
-        }
+    /// A writer into a fresh tmp file in the store root `root`,
+    /// LZ-compressed when `compress` is set and compression shrinks the
+    /// payload.
+    fn create(root: &Path, compress: bool) -> io::Result<ObjectWriter> {
+        let (file, f) = TmpFile::create(&root.join("object"))?;
+        let mut out = BufWriter::with_capacity(BODY_BLOCK, f);
+        out.write_all(&[0; OBJECT_HEADER_LEN])?;
+        Ok(ObjectWriter {
+            sha: Sha256::new(),
+            raw_len: 0,
+            lz: compress.then(lz::Compressor::new),
+            payload_len: 0,
+            out,
+            root: root.to_path_buf(),
+            file,
+        })
     }
 
     /// Seal the object: hash, final LZ sequence and header. A payload LZ
-    /// did not shrink is stored raw, recovered by decompressing the
-    /// writer's own stream.
-    #[must_use]
-    pub fn finish(self) -> ObjectImage {
-        let raw_len = self.raw_len;
-        let (compression, mut bytes) = match self.body {
-            ObjectBody::Raw(bytes) => (COMPRESS_NONE, bytes),
-            ObjectBody::Lz(c) => {
-                let packed = c.finish();
-                if ((packed.len() - OBJECT_HEADER_LEN) as u64) < raw_len {
-                    (COMPRESS_LZ, packed)
-                } else {
-                    let mut bytes = Vec::with_capacity(OBJECT_HEADER_LEN + raw_len as usize);
-                    bytes.resize(OBJECT_HEADER_LEN, 0);
-                    lz::decompress_into(&packed[OBJECT_HEADER_LEN..], &mut bytes, raw_len as usize)
-                        .expect("the writer's own LZ stream decodes");
-                    (COMPRESS_NONE, bytes)
-                }
-            }
+    /// did not shrink is stored raw, recovered by decoding the writer's
+    /// own file, in blocks, into a second tmp file.
+    ///
+    /// # Errors
+    ///
+    /// Any write or read of the tmp files.
+    pub fn finish(mut self) -> io::Result<ObjectImage> {
+        let mut compression = COMPRESS_NONE;
+        if let Some(c) = self.lz.take() {
+            let tail = c.finish();
+            self.out.write_all(&tail)?;
+            self.payload_len += tail.len() as u64;
+            compression = COMPRESS_LZ;
+        }
+        let mut f = self.out.into_inner().map_err(io::IntoInnerError::into_error)?;
+        f.seek(SeekFrom::Start(0))?;
+        f.write_all(&object_header(compression, self.raw_len))?;
+        let mut image = ObjectImage {
+            cid: self.sha.finalize(),
+            compression,
+            raw_len: self.raw_len,
+            stored_len: OBJECT_HEADER_LEN as u64 + self.payload_len,
+            file: self.file,
         };
-        bytes[..4].copy_from_slice(&OBJECT_MAGIC);
-        bytes[4] = OBJECT_VERSION;
-        bytes[5] = compression;
-        bytes[6..OBJECT_HEADER_LEN].copy_from_slice(&raw_len.to_le_bytes());
-        ObjectImage { cid: self.sha.finalize(), compression, raw_len, bytes }
+        if compression == COMPRESS_LZ && self.payload_len >= self.raw_len {
+            f.seek(SeekFrom::Start(0))?;
+            let mut side = Sidecar::default();
+            image.locate(&mut side);
+            let mut body = BodyReader::new(f, &side)?;
+            let (file, f) = TmpFile::create(&self.root.join("object"))?;
+            let mut out = BufWriter::with_capacity(BODY_BLOCK, f);
+            out.write_all(&object_header(COMPRESS_NONE, self.raw_len))?;
+            io::copy(&mut body, &mut out)?;
+            body.finish(&image.cid)?;
+            out.flush()?;
+            image.file = file;
+            image.compression = COMPRESS_NONE;
+            image.stored_len = OBJECT_HEADER_LEN as u64 + self.raw_len;
+        }
+        Ok(image)
     }
 }
 
 impl Write for ObjectWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.push(buf);
-        Ok(buf.len())
+    fn write(&mut self, raw: &[u8]) -> io::Result<usize> {
+        match &mut self.lz {
+            Some(c) => {
+                for piece in raw.chunks(BODY_BLOCK) {
+                    c.write(piece);
+                    self.payload_len += c.drain_to(&mut self.out, BODY_BLOCK)? as u64;
+                }
+            }
+            None => {
+                self.out.write_all(raw)?;
+                self.payload_len += raw.len() as u64;
+            }
+        }
+        self.sha.update(raw);
+        self.raw_len += raw.len() as u64;
+        Ok(raw.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -819,23 +899,11 @@ impl TraceStore {
         TraceStore::publish(&path, &obj.encode())
     }
 
-    fn tmp_path(base: &Path) -> PathBuf {
-        static SEQ: AtomicU32 = AtomicU32::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut name = base.file_name().map(|s| s.to_os_string()).unwrap_or_default();
-        name.push(format!(".tmp.{}.{n}", std::process::id()));
-        base.with_file_name(name)
-    }
-
     fn publish(base: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = TraceStore::tmp_path(base);
-        let mut f = File::create(&tmp)?;
+        let (tmp, mut f) = TmpFile::create(base)?;
         f.write_all(bytes)?;
-        f.flush()?;
         drop(f);
-        fs::rename(&tmp, base).inspect_err(|_| {
-            let _ = fs::remove_file(&tmp);
-        })
+        tmp.persist(base)
     }
 
     /// Load + validate the manifest for `key` without touching the object
@@ -861,9 +929,12 @@ impl TraceStore {
         // never serve stale statistics through the untimed path.
         match fs::metadata(self.object_path(&side.cid)) {
             Ok(m) if m.len() == side.stored_bytes => {
-                // Refresh the manifest mtime (atomic rewrite of identical
-                // bytes) so the GC's LRU bound tracks use, not publish age.
-                let _ = TraceStore::publish(&mpath, &bytes);
+                // Refresh the manifest mtime so the GC's LRU bound tracks
+                // use, not publish age.
+                let _ = File::options()
+                    .write(true)
+                    .open(&mpath)
+                    .and_then(|f| f.set_modified(SystemTime::now()));
                 Some(side)
             }
             Ok(_) => {
@@ -926,45 +997,73 @@ impl TraceStore {
         }
     }
 
-    /// Publish a raw trace body under `key`. Fills the store-location
-    /// fields of `side` (`cid`, `compression`, `stored_bytes`,
-    /// `trace_bytes`), writes the object body first (skipping it when an
-    /// identical trace is already stored — the dedup path), then the
-    /// manifest, each via atomic tmp + rename. Recordings stream into an
-    /// [`ObjectWriter`] instead and publish its image with
-    /// [`TraceStore::put_prepared`].
+    /// A writer that streams one recording into an object file in this
+    /// store's root, LZ-compressed unless compression is off; publish
+    /// what it finishes with [`TraceStore::put_object`].
+    ///
+    /// # Errors
+    ///
+    /// The tmp file cannot be created.
+    pub fn object_writer(&self) -> io::Result<ObjectWriter> {
+        ObjectWriter::create(&self.root, self.compress)
+    }
+
+    /// Publish a raw trace body under `key`: stream it through an
+    /// [`ObjectWriter`], then [`TraceStore::put_object`].
     ///
     /// # Errors
     ///
     /// Object or manifest write failure (the store is left consistent).
     pub fn put(&self, key: &str, side: &mut Sidecar, raw: &[u8]) -> io::Result<PutOutcome> {
-        let image = ObjectImage::build(raw, self.compress);
+        let mut w = self.object_writer()?;
+        w.write_all(raw)?;
         side.key = key.to_string();
-        image.locate(side);
-        self.put_prepared(side, &image.bytes)
+        self.put_object(side, w.finish()?)
     }
 
-    /// Publish with a pre-built object image whose location fields `side`
-    /// already carries (a streamed recording: [`ObjectWriter`] built the
-    /// image and its content ID together).
+    /// Publish a finished object under `side.key`. Fills the
+    /// store-location fields of `side` (`cid`, `compression`,
+    /// `stored_bytes`, `trace_bytes`), renames the object file into
+    /// place (or drops it when an identical trace is already stored —
+    /// the dedup path), then writes the manifest through tmp + rename.
+    ///
+    /// # Errors
+    ///
+    /// Object or manifest write failure (the store is left consistent).
+    pub fn put_object(&self, side: &mut Sidecar, object: ObjectImage) -> io::Result<PutOutcome> {
+        object.locate(side);
+        self.put_with(side, object.stored_len, |opath| object.file.persist(opath))
+    }
+
+    /// Publish with an object image held in memory whose location fields
+    /// `side` already carries.
     ///
     /// # Errors
     ///
     /// Object or manifest write failure.
     pub fn put_prepared(&self, side: &Sidecar, image: &[u8]) -> io::Result<PutOutcome> {
+        self.put_with(side, image.len() as u64, |opath| TraceStore::publish(opath, image))
+    }
+
+    /// The publish order behind every put: the object first — `place`
+    /// writes it at the path it is given, skipped when an object of
+    /// `stored_len` bytes is already there — then the manifest.
+    fn put_with(
+        &self,
+        side: &Sidecar,
+        stored_len: u64,
+        place: impl FnOnce(&Path) -> io::Result<()>,
+    ) -> io::Result<PutOutcome> {
         let opath = self.object_path(&side.cid);
-        let deduped = match fs::metadata(&opath) {
-            Ok(m) if m.len() == image.len() as u64 => true,
-            _ => {
-                if let Some(shard) = opath.parent() {
-                    fs::create_dir_all(shard)?;
-                }
-                TraceStore::publish(&opath, image)?;
-                false
+        let deduped = fs::metadata(&opath).is_ok_and(|m| m.len() == stored_len);
+        if !deduped {
+            if let Some(shard) = opath.parent() {
+                fs::create_dir_all(shard)?;
             }
-        };
+            place(&opath)?;
+        }
         TraceStore::publish(&self.manifest_path(&side.key), &side.encode())?;
-        Ok(PutOutcome { deduped, stored_bytes: image.len() as u64 })
+        Ok(PutOutcome { deduped, stored_bytes: stored_len })
     }
 
     /// Enumerate all valid manifests: `(path, sidecar, file_size, mtime)`.
@@ -1254,18 +1353,48 @@ mod tests {
     }
 
     fn temp_store(tag: &str) -> (PathBuf, TraceStore) {
+        temp_store_with(tag, true)
+    }
+
+    fn temp_store_with(tag: &str, compress: bool) -> (PathBuf, TraceStore) {
         let dir = std::env::temp_dir()
             .join(format!("checkelide-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let store = TraceStore::open(&dir, true).expect("open");
+        let store = TraceStore::open(&dir, compress).expect("open");
         (dir, store)
     }
 
-    /// A sidecar locating `img`, as a publish records it.
-    fn located(img: &ObjectImage) -> Sidecar {
+    /// Every `*.tmp.*` file anywhere under `dir`.
+    fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                out.extend(tmp_files(&path));
+            } else if path.to_string_lossy().contains(".tmp.") {
+                out.push(path);
+            }
+        }
+        out
+    }
+
+    /// Stream `raw` through an object writer in one write, and return
+    /// the finished object file and a sidecar locating it.
+    fn image(raw: &[u8], compress: bool) -> (Vec<u8>, Sidecar) {
+        static SEQ: AtomicU32 = AtomicU32::new(0);
+        let tag = format!("image-{}", SEQ.fetch_add(1, Ordering::Relaxed));
+        let (dir, store) = temp_store_with(&tag, compress);
+        let mut w = store.object_writer().expect("writer");
+        w.write_all(raw).expect("write");
+        let img = w.finish().expect("finish");
+        let bytes = fs::read(img.path()).expect("object file");
+        assert_eq!(bytes.len() as u64, img.stored_len);
         let mut side = sample_sidecar("k");
         img.locate(&mut side);
-        side
+        drop(img);
+        assert!(tmp_files(&dir).is_empty(), "an unpublished image removes its file");
+        let _ = fs::remove_dir_all(&dir);
+        (bytes, side)
     }
 
     /// Drain an in-memory object image through a [`BodyReader`] in reads
@@ -1293,26 +1422,25 @@ mod tests {
     #[test]
     fn object_image_round_trips_and_verifies() {
         let raw = b"abcdabcdabcdabcd-trailer".repeat(50);
-        let img = ObjectImage::build(&raw, true);
-        let side = located(&img);
-        assert_eq!(img.compression, COMPRESS_LZ);
-        assert!(img.bytes.len() < raw.len(), "repetitive payload should shrink");
-        assert_eq!(read_image(&img.bytes, &side, &img.cid, 7).expect("verifies"), raw);
+        let (bytes, side) = image(&raw, true);
+        assert_eq!(side.compression, COMPRESS_LZ);
+        assert!(bytes.len() < raw.len(), "repetitive payload should shrink");
+        assert_eq!(read_image(&bytes, &side, &side.cid, 7).expect("verifies"), raw);
         // Wrong CID is rejected.
-        let mut wrong = img.cid;
+        let mut wrong = side.cid;
         wrong[0] ^= 1;
         assert!(matches!(
-            read_image(&img.bytes, &side, &wrong, 7),
+            read_image(&bytes, &side, &wrong, 7),
             Err(BodyError::HashMismatch)
         ));
         // Corruption at every byte is rejected or detected by the hash.
-        for i in 0..img.bytes.len() {
-            let mut bad = img.bytes.clone();
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
             bad[i] ^= 0x40;
-            assert!(read_image(&bad, &side, &img.cid, 7).is_err(), "flip at {i} accepted");
+            assert!(read_image(&bad, &side, &side.cid, 7).is_err(), "flip at {i} accepted");
         }
-        for len in 0..img.bytes.len() {
-            assert!(read_image(&img.bytes[..len], &side, &img.cid, 7).is_err());
+        for len in 0..bytes.len() {
+            assert!(read_image(&bytes[..len], &side, &side.cid, 7).is_err());
         }
         // Incompressible payloads are stored raw.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -1324,9 +1452,9 @@ mod tests {
                 (state >> 33) as u8
             })
             .collect();
-        let img = ObjectImage::build(&noise, true);
-        assert_eq!(img.compression, COMPRESS_NONE);
-        assert_eq!(read_image(&img.bytes, &located(&img), &img.cid, 100).expect("verifies"), noise);
+        let (bytes, side) = image(&noise, true);
+        assert_eq!(side.compression, COMPRESS_NONE);
+        assert_eq!(read_image(&bytes, &side, &side.cid, 100).expect("verifies"), noise);
     }
 
     #[test]
@@ -1342,11 +1470,10 @@ mod tests {
             (state % 5) as u8
         }));
         for compress in [true, false] {
-            let img = ObjectImage::build(&raw, compress);
-            let side = located(&img);
+            let (bytes, side) = image(&raw, compress);
             for step in [1, 1000, BODY_BLOCK + 1, 1 << 20] {
                 assert_eq!(
-                    read_image(&img.bytes, &side, &img.cid, step).expect("verifies"),
+                    read_image(&bytes, &side, &side.cid, step).expect("verifies"),
                     raw,
                     "compress {compress}, reads of {step}"
                 );
@@ -1357,9 +1484,8 @@ mod tests {
     #[test]
     fn body_reader_rejects_manifest_disagreement_and_unread_bytes() {
         let raw = b"trace body trace body trace body ".repeat(40);
-        let img = ObjectImage::build(&raw, true);
-        let side = located(&img);
-        let header = |side: &Sidecar| BodyReader::new(&img.bytes[..], side).map(|_| ());
+        let (bytes, side) = image(&raw, true);
+        let header = |side: &Sidecar| BodyReader::new(&bytes[..], side).map(|_| ());
         for edit in [
             |s: &mut Sidecar| s.trace_bytes += 1,
             |s: &mut Sidecar| s.compression = COMPRESS_NONE,
@@ -1370,20 +1496,20 @@ mod tests {
             assert!(matches!(header(&bad), Err(BodyError::Corrupt(_))), "{bad:?}");
         }
         // A consumer that stops one byte short leaves a trailing byte.
-        let mut body = BodyReader::new(&img.bytes[..], &side).expect("header");
+        let mut body = BodyReader::new(&bytes[..], &side).expect("header");
         let mut head = vec![0u8; raw.len() - 1];
         body.read_exact(&mut head).expect("reads");
-        assert!(matches!(body.finish(&img.cid), Err(BodyError::Corrupt(_))));
+        assert!(matches!(body.finish(&side.cid), Err(BodyError::Corrupt(_))));
         // A failed read poisons the reader: nothing unverified leaks out.
-        let mut bad = img.bytes.clone();
+        let mut bad = bytes.clone();
         bad[OBJECT_HEADER_LEN] ^= 0xff;
         let mut body = BodyReader::new(&bad[..], &side).expect("header");
         let mut sink = Vec::new();
         if body.read_to_end(&mut sink).is_ok() {
-            assert!(body.finish(&img.cid).is_err(), "corrupt body verified");
+            assert!(body.finish(&side.cid).is_err(), "corrupt body verified");
         } else {
             assert!(body.read(&mut [0u8; 16]).is_err(), "read after a failure");
-            assert!(body.finish(&img.cid).is_err());
+            assert!(body.finish(&side.cid).is_err());
         }
     }
 
@@ -1425,22 +1551,60 @@ mod tests {
             ("empty", b"", true, COMPRESS_NONE),
             ("tiny", b"abc", true, COMPRESS_NONE),
         ];
-        for (name, raw, compress, want_compression) in cases {
+        for (i, (name, raw, compress, want_compression)) in cases.into_iter().enumerate() {
             let (compression, want) = reference_image(raw, compress);
             assert_eq!(compression, want_compression, "{name}");
+            let (dir, store) = temp_store_with(&format!("split-{i}"), compress);
             for cuts in [raw.len().max(1), 1, 13, 1_500, 65_536] {
-                let mut w = ObjectWriter::new(compress);
+                let mut w = store.object_writer().expect("writer");
                 for chunk in raw.chunks(cuts) {
-                    w.write_all(chunk).expect("infallible");
+                    w.write_all(chunk).expect("write");
                 }
-                let img = w.finish();
-                assert_eq!(img.bytes, want, "{name}, writes of {cuts}");
+                let img = w.finish().expect("finish");
+                let bytes = fs::read(img.path()).expect("object file");
+                assert_eq!(bytes, want, "{name}, writes of {cuts}");
                 assert_eq!(img.compression, compression, "{name}");
                 assert_eq!(img.raw_len, raw.len() as u64, "{name}");
+                assert_eq!(img.stored_len, want.len() as u64, "{name}");
                 assert_eq!(img.cid, sha256(raw), "{name}");
+                assert_eq!(tmp_files(&dir), [img.path()], "{name}: one file per finished object");
             }
-            let built = ObjectImage::build(raw, compress);
-            assert_eq!((built.bytes, built.cid), (want, sha256(raw)), "{name}, build");
+            assert!(tmp_files(&dir).is_empty(), "{name}: dropped images leave no file");
+            let mut side = sample_sidecar("");
+            store.put("k|e1|c1", &mut side, raw).expect("put");
+            let stored = fs::read(store.object_path(&side.cid)).expect("object");
+            assert_eq!((stored, side.cid), (want, sha256(raw)), "{name}, put");
+            assert!(tmp_files(&dir).is_empty(), "{name}: put leaves no tmp file");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn unfinished_and_deduplicated_objects_leave_no_tmp_file() {
+        for compress in [true, false] {
+            let (dir, store) = temp_store_with(&format!("tmp-{compress}"), compress);
+            let raw = b"frame 0123 | pc +4 | tok +1 | addr +8 ".repeat(9_000);
+            // A recording dropped before `finish` (a failed or panicking
+            // cell) removes its file.
+            let mut w = store.object_writer().expect("writer");
+            w.write_all(&raw).expect("write");
+            assert_eq!(tmp_files(&dir).len(), 1, "the recording streams to a tmp file");
+            drop(w);
+            assert!(tmp_files(&dir).is_empty(), "compress {compress}: dropped writer");
+            let panicked = std::panic::catch_unwind(|| {
+                let mut w = store.object_writer().expect("writer");
+                w.write_all(&raw).expect("write");
+                panic!("a cell panics mid-recording");
+            });
+            assert!(panicked.is_err());
+            assert!(tmp_files(&dir).is_empty(), "compress {compress}: panic mid-recording");
+            // A second put of the same body dedups: its file is removed.
+            let mut side = sample_sidecar("");
+            assert!(!store.put("a|e1|c1", &mut side, &raw).expect("put").deduped);
+            assert!(store.put("b|e1|c1", &mut side, &raw).expect("put").deduped);
+            assert!(tmp_files(&dir).is_empty(), "compress {compress}: dedup");
+            assert_eq!(store.summary().1, 1, "one object");
+            let _ = fs::remove_dir_all(&dir);
         }
     }
 
@@ -1544,10 +1708,10 @@ mod tests {
         // manifest publish failed, and a tmp file at the store root.
         fs::write(dir.join("bench-0.trace.tmp.123.0"), b"x").expect("tmp");
         fs::write(dir.join("manifest").join("a.m.tmp.123.1"), b"x").expect("tmp");
-        let orphan = ObjectImage::build(b"orphan body", true);
+        let mut orphan = sample_sidecar("");
+        store.put("orphan|e1|c1", &mut orphan, b"orphan body").expect("put");
+        fs::remove_file(store.manifest_path("orphan|e1|c1")).expect("drop its manifest");
         let opath = store.object_path(&orphan.cid);
-        fs::create_dir_all(opath.parent().expect("shard")).expect("mkdir");
-        fs::write(&opath, &orphan.bytes).expect("orphan object");
         let shard_tmp = opath.with_file_name(format!("{}.tmp.9.9", cid_hex(&orphan.cid)));
         fs::write(&shard_tmp, b"x").expect("tmp");
 

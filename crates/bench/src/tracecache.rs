@@ -59,6 +59,7 @@
 //! All statistics are atomics: one `TraceCache` is shared by reference
 //! across the [`crate::pool`] workers.
 
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -357,29 +358,32 @@ impl TraceCache {
         verified
     }
 
-    /// A writer that streams a recording into this cache's object format
-    /// (LZ-compressed unless compression is off); its finished image is
-    /// what [`TraceCache::publish`] takes.
-    pub(crate) fn object_writer(&self) -> ObjectWriter {
-        ObjectWriter::new(self.store.as_ref().is_some_and(TraceStore::compress))
+    /// A writer that streams a recording into an object file of this
+    /// cache's store (LZ-compressed unless compression is off); its
+    /// finished image is what [`TraceCache::publish`] takes.
+    pub(crate) fn object_writer(&self) -> io::Result<ObjectWriter> {
+        self.store
+            .as_ref()
+            .ok_or_else(|| io::Error::other("the trace cache is off"))?
+            .object_writer()
     }
 
-    /// Publish a recording's finished object image. Fills `side`'s
-    /// store-location fields, writes it to the store, and counts the
-    /// store. Failures warn and return; a cache problem is never a run
-    /// failure.
-    pub(crate) fn publish(&self, entry: &CacheEntry, side: &mut Sidecar, image: &ObjectImage) {
+    /// Publish a recording's finished object: fills `side`'s
+    /// store-location fields, renames the object file into the store (or
+    /// drops it on a dedup), writes the manifest, and counts the store.
+    /// Failures warn and return; a cache problem is never a run failure.
+    pub(crate) fn publish(&self, entry: &CacheEntry, side: &mut Sidecar, image: ObjectImage) {
         let Some(store) = &self.store else { return };
         side.key = entry.key.clone();
-        image.locate(side);
-        match store.put_prepared(side, &image.bytes) {
+        let raw_len = image.raw_len;
+        match store.put_object(side, image) {
             Ok(outcome) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
                 if outcome.deduped {
                     self.dedup_stores.fetch_add(1, Ordering::Relaxed);
                 }
                 let body = if outcome.deduped { 0 } else { outcome.stored_bytes };
-                self.raw_bytes_written.fetch_add(image.raw_len, Ordering::Relaxed);
+                self.raw_bytes_written.fetch_add(raw_len, Ordering::Relaxed);
                 self.bytes_written
                     .fetch_add(side.encode().len() as u64 + body, Ordering::Relaxed);
             }

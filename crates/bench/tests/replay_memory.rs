@@ -13,9 +13,7 @@ mod common;
 
 use std::fs;
 
-use checkelide_bench::store::{
-    ObjectWriter, Sidecar, TraceStore, COMPRESS_LZ, COMPRESS_NONE, OBJECT_HEADER_LEN,
-};
+use checkelide_bench::store::{Sidecar, TraceStore, COMPRESS_LZ, COMPRESS_NONE, OBJECT_HEADER_LEN};
 use checkelide_isa::codec::TraceReader;
 use checkelide_isa::{CounterSink, TraceSink, TraceWriter};
 use common::{peak_since, reset_peak, synthetic_uop};
@@ -29,7 +27,8 @@ const REPLAY_HEAP_BOUND: usize = 1 << 20;
 
 /// Record the synthetic trace into a store object and its manifest.
 fn record(store: &TraceStore, compress: bool) -> Sidecar {
-    let mut writer = TraceWriter::new(ObjectWriter::new(compress)).expect("object writer");
+    let object = store.object_writer().expect("object writer");
+    let mut writer = TraceWriter::new(object).expect("trace header");
     let mut batch = Vec::with_capacity(256);
     for i in 0..UOPS {
         batch.push(synthetic_uop(i));
@@ -38,18 +37,13 @@ fn record(store: &TraceStore, compress: bool) -> Sidecar {
             batch.clear();
         }
     }
-    let (object, stats) = writer.finish_file().expect("infallible sink");
-    let image = object.finish();
-    let side = Sidecar {
+    let (object, stats) = writer.finish_file().expect("recording");
+    let mut side = Sidecar {
         key: format!("synthetic|compress{compress}"),
         uops: stats.uops,
-        trace_bytes: image.raw_len,
-        cid: image.cid,
-        compression: image.compression,
-        stored_bytes: image.bytes.len() as u64,
         ..Sidecar::default()
     };
-    store.put_prepared(&side, &image.bytes).expect("publish");
+    store.put_object(&mut side, object.finish().expect("object file")).expect("publish");
     side
 }
 

@@ -1,12 +1,13 @@
 //! Integration tests for the content-addressed trace store: concurrent
-//! recording through atomic publish, the `tracegc` maintenance pass, and
-//! streamed recordings matching one-shot objects.
+//! recording through atomic publish, the `tracegc` maintenance pass (and
+//! its rejection of a misspelt flag), and streamed recordings matching
+//! one-shot objects.
 
 use checkelide_bench::runner::{try_run_benchmark_cached, CacheDisposition, RunConfig};
-use checkelide_bench::store::{ObjectImage, ObjectWriter};
 use checkelide_bench::{find, sim_fingerprint, Benchmark, TraceCache};
 use checkelide_uarch::{SimObject, SIM_OBJECT_LEN};
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -174,9 +175,9 @@ fn gc_binary_reclaims_sim_objects_and_charges_their_bytes() {
 
 /// Every quick-scale recording of one kernel — each engine
 /// configuration `reproduce --quick` records — is streamed frame by
-/// frame into its object while the engine runs. The stored image must
-/// be exactly what the one-shot builder makes of the raw body, and so
-/// must the body fed to an [`ObjectWriter`] in other write sizes.
+/// frame into its object file while the engine runs. The stored object
+/// must be exactly what an object writer makes of the raw body in one
+/// write, and in other write sizes; no tmp file may be left in the store.
 #[test]
 fn streamed_recordings_match_one_shot_objects_on_real_traces() {
     let dir = fresh_dir("real-objects");
@@ -195,19 +196,65 @@ fn streamed_recordings_match_one_shot_objects_on_real_traces() {
         let (_, disp, _) = try_run_benchmark_cached(kernel, quick(cfg), &cache).expect("runs");
         assert_eq!(disp, CacheDisposition::Miss);
     }
+    assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new(), "no tmp file left in the store");
     let manifests = store.manifests();
     assert_eq!(manifests.len(), configs.len());
+    // The object file an object writer makes of `raw` in writes of `cut`.
+    let written = |raw: &[u8], cut: usize| {
+        let mut w = store.object_writer().expect("object writer");
+        raw.chunks(cut).try_for_each(|c| w.write_all(c)).expect("write");
+        std::fs::read(w.finish().expect("object file").path()).expect("object file")
+    };
     for (_, side, _, _) in manifests {
         let image = std::fs::read(store.object_path(&side.cid)).expect("object stored");
         let (_, raw) = store.get(&side.key).expect("object verifies");
-        let want = ObjectImage::build(&raw, store.compress());
-        assert_eq!(image, want.bytes, "{}", side.key);
-        for cuts in [61, 4093] {
-            let mut w = ObjectWriter::new(store.compress());
-            raw.chunks(cuts).for_each(|c| w.push(c));
-            assert_eq!(w.finish().bytes, want.bytes, "{}, writes of {cuts}", side.key);
+        assert!(image == written(&raw, raw.len()), "{}", side.key);
+        for cut in [61, 4093] {
+            assert!(image == written(&raw, cut), "{}, writes of {cut}", side.key);
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `*.tmp.*` file anywhere under `dir`.
+fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(tmp_files(&path));
+        } else if path.to_string_lossy().contains(".tmp.") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// A misspelt flag is an error, not a silently ignored setting: `tracegc`
+/// with `--max-store-byte` (for `--max-store-bytes`) exits non-zero,
+/// names the flag, and leaves the store untouched.
+#[test]
+fn tracegc_rejects_an_unknown_flag() {
+    let dir = fresh_dir("typo");
+    let cache = TraceCache::at(&dir);
+    let cfg = quick_cfg();
+    assert_eq!(run_one(&cache, cfg), CacheDisposition::Miss);
+    let store = cache.local_store().expect("local backend");
+    let before = store.summary();
+    assert_eq!((before.0, before.1), (1, 1));
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tracegc"))
+        .arg("--store")
+        .arg(&dir)
+        .args(["--max-store-byte", "1"])
+        .output()
+        .expect("run tracegc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "typo'd flag must fail: {stderr}");
+    assert!(stderr.contains("--max-store-byte"), "the error names the flag: {stderr}");
+    assert_eq!(store.summary(), before, "store untouched");
+    let key = cache.entry("ai-astar", 1, &cfg).expect("enabled").key;
+    assert!(store.stat(&key).is_some(), "entry survives");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

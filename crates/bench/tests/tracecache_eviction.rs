@@ -10,7 +10,7 @@
 //! re-recordings.
 
 use checkelide_bench::runner::{try_run_benchmark_cached, CacheDisposition, RunConfig};
-use checkelide_bench::store::{sha256, ObjectImage, Sidecar, TraceStore, OBJECT_HEADER_LEN};
+use checkelide_bench::store::{sha256, Sidecar, TraceStore, OBJECT_HEADER_LEN};
 use checkelide_bench::{find, sim_fingerprint, SimCacheMode, TraceCache};
 use std::fs::{self, OpenOptions};
 use std::path::PathBuf;
@@ -189,18 +189,17 @@ fn drill(tag: &str, corrupt: impl FnOnce(&TraceStore, &Sidecar) -> [u8; 32]) {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Rewrite `side`'s manifest to name the object image `img` at `cid`.
-fn repoint(store: &TraceStore, side: &Sidecar, img: &ObjectImage, cid: [u8; 32]) -> [u8; 32] {
+/// Store `raw` as `side`'s body, then file its object under `cid` (a
+/// copy) and rewrite the manifest to name it there.
+fn repoint(store: &TraceStore, side: &Sidecar, raw: &[u8], cid: [u8; 32]) -> [u8; 32] {
+    let mut moved = side.clone();
+    store.put(&side.key, &mut moved, raw).expect("store the body");
     let opath = store.object_path(&cid);
     fs::create_dir_all(opath.parent().expect("shard")).expect("shard dir");
-    fs::write(&opath, &img.bytes).expect("write object");
-    let moved = Sidecar {
-        cid,
-        compression: img.compression,
-        trace_bytes: img.raw_len,
-        stored_bytes: img.bytes.len() as u64,
-        ..side.clone()
-    };
+    if cid != moved.cid {
+        fs::copy(store.object_path(&moved.cid), &opath).expect("copy object");
+    }
+    moved.cid = cid;
     fs::write(store.manifest_path(&side.key), moved.encode()).expect("rewrite manifest");
     cid
 }
@@ -244,8 +243,7 @@ fn bytes_after_the_trace_trailer_evict_and_reheal() {
         // A body that hashes to its own CID, whose trace ends early.
         let (_, mut raw) = store.get(&side.key).expect("body reads");
         raw.extend_from_slice(b"bytes after the trailer");
-        let img = ObjectImage::build(&raw, store.compress());
-        repoint(store, side, &img, img.cid)
+        repoint(store, side, &raw, sha256(&raw))
     });
 }
 
@@ -254,7 +252,6 @@ fn decodable_body_under_the_wrong_cid_evicts_and_reheals() {
     drill("drill-wrong-cid", |store, side| {
         // The cell's own, fully decodable body, filed under another CID.
         let (_, raw) = store.get(&side.key).expect("body reads");
-        let img = ObjectImage::build(&raw, store.compress());
-        repoint(store, side, &img, sha256(b"some other trace"))
+        repoint(store, side, &raw, sha256(b"some other trace"))
     });
 }

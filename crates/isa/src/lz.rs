@@ -144,7 +144,8 @@ fn put_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
 /// input: the same bytes any split of it would produce.
 #[must_use]
 pub fn compress(src: &[u8]) -> Vec<u8> {
-    let mut c = Compressor::appending_to(Vec::with_capacity(src.len() / 2 + 16));
+    let mut c = Compressor::new();
+    c.out.reserve(src.len() / 2 + 16);
     c.write(src);
     c.finish()
 }
@@ -158,9 +159,10 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
 /// compressor retains just the input from `min(anchor, pos - MAX_OFFSET)`
 /// on (`anchor` starts the literal run not yet emitted): memory is the
 /// hash table, about one window and the compressed output, not the
-/// input. Positions are absolute, and one is matched only once
-/// `pos + MIN_MATCH` bytes are available — the bound the one-shot loop
-/// applies to the whole input. A match whose extension reaches the end
+/// input; a caller that moves the output out as it goes
+/// ([`Compressor::drain_to`]) holds about one block of it. Positions are
+/// absolute, and one is matched only once `pos + MIN_MATCH` bytes are
+/// available — the bound the one-shot loop applies to the whole input. A match whose extension reaches the end
 /// of the input so far is suspended until more arrives or `finish`.
 #[derive(Debug, Clone)]
 pub struct Compressor {
@@ -189,13 +191,6 @@ impl Compressor {
     /// A compressor with an empty output buffer.
     #[must_use]
     pub fn new() -> Compressor {
-        Compressor::appending_to(Vec::new())
-    }
-
-    /// A compressor that appends its stream to `out`, after the bytes it
-    /// already holds (a caller's header, say).
-    #[must_use]
-    pub fn appending_to(out: Vec<u8>) -> Compressor {
         Compressor {
             table: vec![0; 1 << HASH_BITS],
             window: Vec::new(),
@@ -203,8 +198,31 @@ impl Compressor {
             anchor: 0,
             pos: 0,
             pending: None,
-            out,
+            out: Vec::new(),
         }
+    }
+
+    /// Once at least `min` bytes of output are buffered, write them all
+    /// to `sink` and drop them; returns the bytes written (0 below
+    /// `min`). A caller that drains after every [`Compressor::write`]
+    /// holds about `min` bytes of output, whatever the input's length;
+    /// what [`Compressor::finish`] returns then is the rest of the stream.
+    ///
+    /// # Errors
+    ///
+    /// The sink's write error; the buffered output is kept.
+    pub fn drain_to(
+        &mut self,
+        sink: &mut impl std::io::Write,
+        min: usize,
+    ) -> std::io::Result<usize> {
+        let n = self.out.len();
+        if n < min.max(1) {
+            return Ok(0);
+        }
+        sink.write_all(&self.out)?;
+        self.out.clear();
+        Ok(n)
     }
 
     /// Compress the next `data` bytes of the input.
@@ -516,21 +534,10 @@ impl Decompressor {
 /// never panics and never allocates more than `expected` output bytes.
 pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
     let mut out: Vec<u8> = Vec::with_capacity(expected);
-    decompress_into(src, &mut out, expected)?;
-    Ok(out)
-}
-
-/// [`decompress`] appending to `out`: the `expected` decoded bytes follow
-/// whatever `out` already holds, which back-references cannot reach. One
-/// unbounded [`Decompressor::decode`] of the whole stream.
-///
-/// # Errors
-///
-/// As [`decompress`]; on error `out` holds a partial decode.
-pub fn decompress_into(src: &[u8], out: &mut Vec<u8>, expected: usize) -> Result<(), LzError> {
     let mut d = Decompressor::new(expected);
-    d.decode(src, out, usize::MAX)?;
-    d.finish()
+    d.decode(src, &mut out, usize::MAX)?;
+    d.finish()?;
+    Ok(out)
 }
 
 /// Append the `len`-byte back-reference at distance `off` (checked:
@@ -841,20 +848,23 @@ mod tests {
     }
 
     #[test]
-    fn decompress_into_keeps_the_prefix_out_of_reach() {
+    fn decoder_keeps_the_prefix_out_of_reach() {
+        // Decode appending to `out` behind bytes that are not its output.
+        let decode_after = |prefix: &[u8], stream: &[u8], expected: usize| {
+            let mut out = prefix.to_vec();
+            let mut d = Decompressor::new(expected);
+            d.decode(stream, &mut out, usize::MAX).and_then(|_| d.finish()).map(|()| out)
+        };
         let data = b"abcabcabcabc tail".repeat(30);
-        let packed = compress(&data);
-        let mut out = b"HEAD".to_vec();
-        decompress_into(&packed, &mut out, data.len()).expect("decodes");
+        let out = decode_after(b"HEAD", &compress(&data), data.len()).expect("decodes");
         assert_eq!(&out[..4], b"HEAD");
         assert_eq!(&out[4..], &data[..]);
         // A first back-reference one byte long would read the prefix.
         let mut stream = Vec::new();
         put_sequence(&mut stream, b"", Some((1, MIN_MATCH)));
         put_sequence(&mut stream, b"", None);
-        let mut out = b"HEAD".to_vec();
         assert_eq!(
-            decompress_into(&stream, &mut out, MIN_MATCH),
+            decode_after(b"HEAD", &stream, MIN_MATCH),
             Err(LzError::BadOffset { offset: 1 })
         );
     }
