@@ -9,9 +9,11 @@
 //! fingerprint (other simulator code or core configuration), bounds the
 //! store to `--max-store-bytes` evicting least-recently-used entries
 //! (memoized sim results are charged to the trace they belong to), and
-//! reclaims unreferenced objects and sim-result objects whose trace CID
-//! is gone. The open itself also sweeps `*.tmp.*` debris from crashed
-//! runs.
+//! reclaims `*.tmp.*` debris of crashed runs, unreferenced objects and
+//! sim-result objects whose trace CID no manifest names. This is the one
+//! pass that deletes store files (opening a store deletes nothing). It
+//! cannot tell a live tmp file from a dead one: run it while no other
+//! process writes the store.
 
 use checkelide_bench::tracecache::{current_key_suffix, DEFAULT_TRACE_CACHE_DIR};
 use checkelide_bench::{sim_fingerprint, Cli, TraceStore};

@@ -37,13 +37,6 @@ fn iters(quick: bool) -> u32 {
 // Pool plumbing shared by all drivers
 // ---------------------------------------------------------------------------
 
-/// Environment variable naming a benchmark whose cells deliberately panic.
-///
-/// Used to exercise the fault-isolation path end to end: the cell shows up
-/// in the failure summary while every sibling's results are still produced
-/// and saved.
-pub const INJECT_PANIC_ENV: &str = "CHECKELIDE_INJECT_PANIC";
-
 /// Per-cell observability metadata persisted to `results/run_meta.json`.
 #[derive(Debug, Clone)]
 pub struct CellMeta {
@@ -146,16 +139,9 @@ where
     fn assert_out_send<T: Send>() {}
     assert_out_send::<(RunOutput, Result<(), RunError>)>();
 
-    let inject = std::env::var(INJECT_PANIC_ENV).ok();
     let cells: Vec<(String, &'static Benchmark)> =
         benches.iter().map(|b| (format!("{figure}/{}", b.name), *b)).collect();
-    let outcomes = pool::run_cells(cells, jobs, |b: &&'static Benchmark| {
-        let b: &'static Benchmark = b;
-        if inject.as_deref() == Some(b.name) {
-            panic!("injected panic via {INJECT_PANIC_ENV} for fault-isolation testing");
-        }
-        f(b)
-    });
+    let outcomes = pool::run_cells(cells, jobs, |b: &&'static Benchmark| f(b));
 
     let mut report =
         FigureReport { figure, rows: Vec::new(), failures: Vec::new(), cells: Vec::new() };
@@ -1174,6 +1160,46 @@ mod tests {
         assert!(row.base_uops > 0 && row.full_uops > 0);
         assert!(row.base_cycles > 0 && row.full_cycles > 0);
         assert!(row.class_cache_hit > 0.9);
+    }
+
+    /// A cell that panics surfaces as a reported `CellError` while every
+    /// sibling cell still completes and produces its row.
+    #[test]
+    fn injected_panic_is_isolated_to_its_cell() {
+        let victim = "richards";
+        let report = run_figure("fig1", BENCHMARKS.iter().collect(), 4, |b| {
+            if b.name == victim {
+                panic!("injected panic for fault-isolation testing");
+            }
+            Ok((b.name, 1, CacheDisposition::Off, SimTelemetry::default()))
+        });
+
+        // Exactly the injected cell failed, as a CellError with the panic
+        // message — not an abort of the whole report.
+        assert_eq!(report.failures.len(), 1, "failures: {:?}", report.failures);
+        let failure = &report.failures[0];
+        assert_eq!(failure.label, format!("fig1/{victim}"));
+        assert!(
+            failure.message.contains("injected panic"),
+            "unexpected panic payload: {}",
+            failure.message
+        );
+
+        // Every sibling cell still produced its row, in registry order,
+        // and its metadata.
+        let siblings: Vec<&str> =
+            BENCHMARKS.iter().map(|b| b.name).filter(|&n| n != victim).collect();
+        assert_eq!(report.rows, siblings);
+        assert_eq!(report.cells.len(), BENCHMARKS.len());
+        let failed_meta =
+            report.cells.iter().find(|c| c.benchmark == victim).expect("victim metadata");
+        assert!(!failed_meta.ok);
+        assert!(failed_meta.error.as_deref().unwrap_or("").contains("injected panic"));
+        assert!(
+            report.cells.iter().filter(|c| c.benchmark != victim).all(|c| c.ok),
+            "a sibling cell was poisoned: {:?}",
+            report.cells.iter().filter(|c| !c.ok).collect::<Vec<_>>()
+        );
     }
 
     #[test]

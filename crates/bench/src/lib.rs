@@ -24,8 +24,8 @@
 //!   the trace body at all.
 //! * [`store`] — the content-addressed, sharded on-disk trace store
 //!   behind the cache (manifest index → SHA-256-addressed objects,
-//!   cross-key dedup, LZ compression, orphan sweep, and the gc pass the
-//!   `tracegc` binary runs).
+//!   cross-key dedup, LZ compression, and the gc pass the `tracegc`
+//!   binary runs, the one pass that deletes files).
 //! * [`json`] — dependency-free, byte-deterministic JSON output for
 //!   `results/*.json` and the per-run `results/run_meta.json` metadata.
 //! * [`cli`] — the shared `--quick` / `--jobs` / value-flag / positional

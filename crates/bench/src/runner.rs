@@ -8,7 +8,7 @@
 use crate::simcache::{sim_config, sim_fingerprint, SimCacheMode};
 use crate::store::{cid_hex, Sidecar, COMPRESS_NONE};
 use crate::suite::Benchmark;
-use crate::tracecache::TraceCache;
+use crate::tracecache::{cache_key, TraceCache};
 use checkelide_core::{loadstats::Fig3Row, ClassCacheConfig, ClassCacheStats};
 use checkelide_engine::{EngineConfig, Mechanism, Vm, VmStats};
 use checkelide_isa::codec::{TraceError, TraceWriter};
@@ -304,6 +304,9 @@ impl SimTelemetry {
 /// bits. Recording failures (disk full, unwritable directory) degrade to
 /// an unrecorded live run, never to a run failure.
 ///
+/// Every call is counted in `cache`'s statistics as its cell is: a live
+/// run that fails still counts a trace miss, and a sim miss when timed.
+///
 /// # Errors
 ///
 /// Any live-run [`RunError`]; cache-layer problems are not errors.
@@ -312,22 +315,32 @@ pub fn try_run_benchmark_cached(
     cfg: RunConfig,
     cache: &TraceCache,
 ) -> Result<(RunOutput, CacheDisposition, SimTelemetry), RunError> {
+    let (out, disposition, sim_tel) = run_cached(bench, cfg, cache);
+    cache.count(disposition, sim_tel);
+    out.map(|out| (out, disposition, sim_tel))
+}
+
+/// [`try_run_benchmark_cached`] before its counting: the output or the
+/// live run's error, with how the cell was served and its sim-cache
+/// activity either way.
+fn run_cached(
+    bench: &Benchmark,
+    cfg: RunConfig,
+    cache: &TraceCache,
+) -> (Result<RunOutput, RunError>, CacheDisposition, SimTelemetry) {
     let mut sim_tel = SimTelemetry::default();
-    let scale = cfg.scale.unwrap_or(bench.scale);
-    let Some(entry) = cache.entry(bench.name, scale, &cfg) else {
-        return run_live(bench, cfg, None).map(|o| (o, CacheDisposition::Off, sim_tel));
-    };
+    if !cache.enabled() {
+        return (run_live(bench, cfg, None), CacheDisposition::Off, sim_tel);
+    }
+    let key = cache_key(bench.name, cfg.scale.unwrap_or(bench.scale), &cfg);
     let want_sim = cfg.timing && cache.sim_mode() != SimCacheMode::Off;
 
     // The manifest alone serves an untimed cell, and a timed one whose
     // memoized simulation the sim cache holds; otherwise the body is
     // streamed into CoreSim and verified before the result is used.
-    if let Some(side) = cache.fetch(&entry) {
+    if let Some(side) = cache.fetch(&key) {
         match serve_hit(&side, cfg, cache, &mut sim_tel) {
-            Ok(out) => {
-                cache.note_hit();
-                return Ok((out, CacheDisposition::Hit, sim_tel));
-            }
+            Ok(out) => return (Ok(out), CacheDisposition::Hit, sim_tel),
             Err(e) => {
                 // Any failure — header, LZ, codec, trailer, µop count,
                 // hash or an inconsistent manifest — drops the manifest
@@ -336,17 +349,15 @@ pub fn try_run_benchmark_cached(
                     "warning: trace cache entry for {} unusable ({e}); re-recording",
                     bench.name
                 );
-                cache.evict(&entry, &side.cid);
+                cache.evict(&key, &side.cid);
                 sim_tel = SimTelemetry::default();
             }
         }
     }
 
-    cache.note_miss();
     if want_sim {
         // The live run below executes CoreSim: a sim miss by definition.
         sim_tel.misses += 1;
-        cache.note_sim_miss();
     }
     // Record straight into the store: each encoded frame streams through
     // the content-ID hash and the LZ compressor into the object's tmp
@@ -358,14 +369,17 @@ pub fn try_run_benchmark_cached(
         Ok(w) => w,
         Err(e) => {
             eprintln!("warning: trace cache cannot record {}: {e}", bench.name);
-            return run_live(bench, cfg, None).map(|o| (o, CacheDisposition::Miss, sim_tel));
+            return (run_live(bench, cfg, None), CacheDisposition::Miss, sim_tel);
         }
     };
-    let out = run_live(bench, cfg, Some(&mut writer))?;
+    let out = match run_live(bench, cfg, Some(&mut writer)) {
+        Ok(out) => out,
+        Err(e) => return (Err(e), CacheDisposition::Miss, sim_tel),
+    };
     match writer.finish_file().and_then(|(object, stats)| Ok((object.finish()?, stats))) {
         Ok((object, stats)) if stats.uops == out.uops => {
             let mut side = Sidecar {
-                key: entry.key.clone(),
+                key,
                 counters: out.counters.snapshot(),
                 fig3: out.fig3,
                 class_cache: out.class_cache,
@@ -381,7 +395,7 @@ pub fn try_run_benchmark_cached(
             };
             // publish() fills the content-store location fields and
             // warns (never fails the run) on store write problems.
-            cache.publish(&entry, &mut side, object);
+            cache.publish(&mut side, object);
             // Memoize the live simulation under the freshly-assigned CID:
             // the live CoreSim saw exactly the µops the recording holds
             // (one Tee fan-out), so a cold run warms both cache layers.
@@ -401,7 +415,7 @@ pub fn try_run_benchmark_cached(
             eprintln!("warning: trace recording for {} failed: {e}", bench.name);
         }
     }
-    Ok((out, CacheDisposition::Miss, sim_tel))
+    (Ok(out), CacheDisposition::Miss, sim_tel)
 }
 
 /// Serve a trace-cache hit, consulting the sim-result cache for timed
@@ -417,49 +431,32 @@ fn serve_hit(
 ) -> Result<RunOutput, TraceError> {
     let sim_mode = cache.sim_mode();
     let want_sim = cfg.timing && sim_mode != SimCacheMode::Off;
-    if want_sim {
-        if let Some(obj) = cache.sim_fetch(&side.cid) {
-            if obj.result.uops == side.uops {
-                if sim_mode == SimCacheMode::Verify {
-                    // Differential mode: replay the trace through CoreSim
-                    // anyway and require the memoized result to be
-                    // bit-identical (compare encoded images so f64
-                    // payloads are held to raw-bit equality, not
-                    // PartialEq's -0.0 == 0.0).
-                    let live = replay_sim(cache, side)?;
-                    let live_obj = SimObject::new(side.cid, sim_fingerprint(), live.clone());
-                    sim_tel.hits += 1;
-                    if live_obj.encode() != obj.encode() {
-                        sim_tel.verify_mismatches += 1;
-                        cache.note_sim_verify_mismatch();
-                        eprintln!(
-                            "warning: sim-cache verify mismatch for {} (cid {}); \
-                             using the live result",
-                            side.key,
-                            cid_hex(&side.cid)
-                        );
-                    }
-                    return output_from_parts(side, Some(live));
-                }
-                sim_tel.hits += 1;
-                return output_from_parts(side, Some(obj.result));
-            }
-            // A sim object that disagrees with its manifest (the store
-            // validated structure, not cross-file consistency): ignore it
-            // and re-simulate; the republish overwrites nothing (the file
-            // is keyed by content) but the warning makes it visible.
+    // A memoized object that disagrees with its manifest is evicted by
+    // the fetch, so the republish below replaces it.
+    if let Some(obj) = want_sim.then(|| cache.sim_fetch(side)).flatten() {
+        sim_tel.hits += 1;
+        if sim_mode != SimCacheMode::Verify {
+            return output_from_parts(side, Some(obj.result));
+        }
+        // Differential mode: replay the trace through CoreSim anyway and
+        // require the memoized result to be bit-identical (compare encoded
+        // images so f64 payloads are held to raw-bit equality, not
+        // PartialEq's -0.0 == 0.0).
+        let live = replay_sim(cache, side)?;
+        if SimObject::new(side.cid, sim_fingerprint(), live.clone()).encode() != obj.encode() {
+            sim_tel.verify_mismatches += 1;
             eprintln!(
-                "warning: memoized sim result for {} disagrees with its manifest; \
-                 re-simulating",
-                side.key
+                "warning: sim-cache verify mismatch for {} (cid {}); using the live result",
+                side.key,
+                cid_hex(&side.cid)
             );
         }
+        return output_from_parts(side, Some(live));
     }
     let sim = if cfg.timing { Some(replay_sim(cache, side)?) } else { None };
     let out = output_from_parts(side, sim)?;
     if want_sim {
         sim_tel.misses += 1;
-        cache.note_sim_miss();
         if let Some(sim) = &out.sim {
             cache.sim_publish(&side.cid, sim);
         }

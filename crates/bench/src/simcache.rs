@@ -18,9 +18,8 @@
 //! from its stored traces instead of serving results of other code.
 //!
 //! [`sim_config`] / [`sim_energy`] replace the formerly scattered
-//! `CoreConfig::nehalem()` call sites in `runner`, `perfstat`, and the
-//! criterion benches: every simulation the harness runs goes through this
-//! pair, so the fingerprint provably describes the config that produced
+//! `CoreConfig::nehalem()` call sites in `runner` and `perfstat`: every
+//! simulation the harness runs goes through this pair, so the fingerprint provably describes the config that produced
 //! every cached result.
 //!
 //! # Modes

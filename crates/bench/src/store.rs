@@ -46,17 +46,19 @@
 //! of a tmp file (objects from the store root, manifests and sim objects
 //! from their own directory), so a crash can never produce a manifest
 //! pointing at a missing body. A writer dropped unfinished — a failed or
-//! panicking recording — removes its tmp file. The inverse orphans —
-//! `*.tmp.*` files of crashed processes and objects whose manifest
-//! publish failed — are swept on [`TraceStore::open`]. That sweep does
-//! not know which tmp files are live: a second process opening the same
-//! store can remove a recording in progress, which then fails to
-//! publish and leaves its cell an unrecorded miss, never wrong data.
-//! One store shared by concurrent processes is not a workload here. [`TraceStore::gc`] additionally drops
-//! manifests whose key carries another source fingerprint and sim objects
-//! stored under another sim fingerprint, bounds total store size (LRU by
-//! manifest mtime; hits refresh the mtime), and removes unreferenced
-//! objects.
+//! panicking recording — removes its tmp file. [`TraceStore::open`] only
+//! creates the store's directories: it reads and deletes nothing, so an
+//! open never disturbs another process's recording in progress.
+//!
+//! [`TraceStore::gc`], which the `tracegc` binary runs, is the one pass
+//! that deletes files. It reclaims what crashed processes leave behind
+//! (`*.tmp.*` files anywhere in the store, and objects whose manifest
+//! was never published), drops manifests whose key carries another
+//! source fingerprint and sim objects stored under another sim
+//! fingerprint, bounds total store size (LRU by manifest mtime; hits
+//! refresh the mtime), and removes objects and sim objects no surviving
+//! manifest references. It cannot tell a live tmp file from a dead one:
+//! run it while no other process writes the store.
 //!
 //! Corruption degrades to a miss, never to wrong data or a panic: a size,
 //! header, decode, length or hash failure evicts the offending manifest
@@ -778,7 +780,7 @@ pub struct GcStats {
     pub stale_sims: u64,
     /// Sim objects whose trace CID no surviving manifest references.
     pub orphan_sims: u64,
-    /// Bytes freed (manifests + objects + sim objects).
+    /// Bytes freed (tmp debris, manifests, objects and sim objects).
     pub bytes_freed: u64,
     /// Manifests kept.
     pub entries_kept: u64,
@@ -794,8 +796,8 @@ pub struct TraceStore {
 }
 
 impl TraceStore {
-    /// Open (creating if needed) a store rooted at `root` and sweep
-    /// orphaned files left by crashed runs.
+    /// Open a store rooted at `root`, creating its directories if
+    /// needed. Nothing in the store is read or deleted.
     ///
     /// # Errors
     ///
@@ -805,9 +807,7 @@ impl TraceStore {
         fs::create_dir_all(root.join("manifest"))?;
         fs::create_dir_all(root.join("objects"))?;
         fs::create_dir_all(root.join("sim"))?;
-        let store = TraceStore { root, compress };
-        store.sweep_orphans();
-        Ok(store)
+        Ok(TraceStore { root, compress })
     }
 
     /// Store root directory.
@@ -967,28 +967,6 @@ impl TraceStore {
         BodyReader::new(file, side)
     }
 
-    /// Load the manifest *and* the raw trace bytes for `key`: a drain of
-    /// [`TraceStore::open_body`]. Any failure is a miss and evicts the
-    /// manifest and the object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<(Sidecar, Vec<u8>)> {
-        let side = self.stat(key)?;
-        let mut raw = Vec::new();
-        let read = self.open_body(&side).and_then(|mut body| {
-            body.read_to_end(&mut raw)?;
-            body.finish(&side.cid)
-        });
-        match read {
-            Ok(()) => Some((side, raw)),
-            Err(_) => {
-                // Other manifests sharing the CID evict themselves on
-                // their next lookup (their object is gone).
-                self.evict_entry(key, Some(&side.cid));
-                None
-            }
-        }
-    }
-
     /// Drop an entry's manifest (and, when `cid` is given, its object).
     pub fn evict_entry(&self, key: &str, cid: Option<&[u8; 32]>) {
         let _ = fs::remove_file(self.manifest_path(key));
@@ -1086,46 +1064,10 @@ impl TraceStore {
         out
     }
 
-    /// Enumerate object files: `(path, cid, size)`.
-    fn objects(&self) -> Vec<(PathBuf, [u8; 32], u64)> {
-        let mut out = Vec::new();
-        let Ok(shards) = fs::read_dir(self.root.join("objects")) else { return out };
-        for shard in shards.flatten() {
-            let Ok(files) = fs::read_dir(shard.path()) else { continue };
-            for entry in files.flatten() {
-                let path = entry.path();
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                let Some(cid) = parse_cid(name) else { continue };
-                let size = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                out.push((path, cid, size));
-            }
-        }
-        out
-    }
-
-    /// Enumerate sim-object files: `(path, cid, fingerprint, size)`.
-    fn sims(&self) -> Vec<(PathBuf, [u8; 32], u64, u64)> {
-        let mut out = Vec::new();
-        let Ok(shards) = fs::read_dir(self.root.join("sim")) else { return out };
-        for shard in shards.flatten() {
-            let Ok(files) = fs::read_dir(shard.path()) else { continue };
-            for entry in files.flatten() {
-                let path = entry.path();
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                let Some((cid, fp)) = parse_sim_name(name) else { continue };
-                let size = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                out.push((path, cid, fp, size));
-            }
-        }
-        out
-    }
-
     /// Sim-cache summary: `(sim_objects, sim_object_bytes)`.
     #[must_use]
     pub fn sim_summary(&self) -> (u64, u64) {
-        let sims = self.sims();
-        let bytes: u64 = sims.iter().map(|(_, _, _, n)| n).sum();
-        (sims.len() as u64, bytes)
+        count_files(&shard_files(&self.root.join("sim")), |n| parse_sim_name(n).is_some())
     }
 
     /// Store-wide summary: `(entries, objects, object_bytes, raw_bytes)`.
@@ -1133,79 +1075,50 @@ impl TraceStore {
     pub fn summary(&self) -> (u64, u64, u64, u64) {
         let manifests = self.manifests();
         let raw: u64 = manifests.iter().map(|(_, s, _, _)| s.trace_bytes).sum();
-        let objects = self.objects();
-        let obytes: u64 = objects.iter().map(|(_, _, n)| n).sum();
-        (manifests.len() as u64, objects.len() as u64, obytes, raw)
+        let (objects, obytes) =
+            count_files(&shard_files(&self.root.join("objects")), |n| parse_cid(n).is_some());
+        (manifests.len() as u64, objects, obytes, raw)
     }
 
-    /// Reclaim files a crashed run left behind: `*.tmp.*` intermediates
-    /// anywhere in the store, and objects no manifest references (a body
-    /// whose manifest publish failed would otherwise linger forever —
-    /// object-side eviction only runs through manifest-load paths).
-    pub fn sweep_orphans(&self) {
-        let sweep_tmp = |dir: &Path| {
-            let Ok(entries) = fs::read_dir(dir) else { return };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let is_tmp = path
-                    .file_name()
-                    .and_then(|s| s.to_str())
-                    .is_some_and(|s| s.contains(".tmp."));
-                if path.is_file() && is_tmp {
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        };
-        sweep_tmp(&self.root);
-        sweep_tmp(&self.root.join("manifest"));
-        for sharded in ["objects", "sim"] {
-            if let Ok(shards) = fs::read_dir(self.root.join(sharded)) {
-                for shard in shards.flatten() {
-                    sweep_tmp(&shard.path());
-                }
-            }
-        }
-        let referenced: std::collections::HashSet<[u8; 32]> =
-            self.manifests().into_iter().map(|(_, s, _, _)| s.cid).collect();
-        for (path, cid, _) in self.objects() {
-            if !referenced.contains(&cid) {
-                let _ = fs::remove_file(&path);
-            }
-        }
-        for (path, cid, _, _) in self.sims() {
-            if !referenced.contains(&cid) {
-                let _ = fs::remove_file(&path);
-            }
-        }
-    }
-
-    /// Garbage-collect the store: drop manifests whose key does not end
-    /// with `keep_suffix` (the current source fingerprint and codec
-    /// version, so any µop-shaping source edit reclaims every old entry),
-    /// drop sim objects that are corrupt or stored under a fingerprint
-    /// other than `sim_fp`, bound total size to `max_bytes` evicting
-    /// least-recently-used manifests first (mtime; refreshed on every
-    /// hit; a manifest's cost includes its object *and* sim bytes), and
-    /// remove objects and sim objects no surviving manifest references.
+    /// Garbage-collect the store, the one pass that deletes files: remove
+    /// `*.tmp.*` debris of crashed writers, drop manifests whose key does
+    /// not end with `keep_suffix` (the current source fingerprint and
+    /// codec version, so any µop-shaping source edit reclaims every old
+    /// entry), drop sim objects that are corrupt or stored under a
+    /// fingerprint other than `sim_fp`, bound total size to `max_bytes`
+    /// evicting least-recently-used manifests first (mtime; refreshed on
+    /// every hit; a manifest's cost includes its object *and* sim bytes),
+    /// and remove objects and sim objects no surviving manifest
+    /// references. Run it while no other process writes the store: a tmp
+    /// file being written looks like debris.
     pub fn gc(&self, keep_suffix: &str, sim_fp: u64, max_bytes: Option<u64>) -> GcStats {
         let mut stats = GcStats::default();
+        let objects = shard_files(&self.root.join("objects"));
+        let sims = shard_files(&self.root.join("sim"));
+        let loose = [files_in(&self.root), files_in(&self.root.join("manifest"))];
+        for (path, name, size) in loose.iter().flatten().chain(&objects).chain(&sims) {
+            if name.contains(".tmp.") {
+                stats.free(path, *size);
+            }
+        }
         let mut survivors = Vec::new();
         for (path, side, size, mtime) in self.manifests() {
             if side.key.ends_with(keep_suffix) {
                 survivors.push((path, side, size, mtime));
             } else {
                 stats.stale_entries += 1;
-                stats.bytes_freed += size;
-                let _ = fs::remove_file(&path);
+                stats.free(&path, size);
             }
         }
         // Validate sim objects up front: files under another fingerprint
         // and corrupt ones go now; valid ones are charged to their trace
         // CID so the LRU bound accounts for the whole footprint of keeping
         // an entry warm.
+        let mut live_sims = Vec::new();
         let mut sim_by_cid: std::collections::HashMap<[u8; 32], u64> =
             std::collections::HashMap::new();
-        for (path, cid, fp, size) in self.sims() {
+        for (path, name, size) in sims {
+            let Some((cid, fp)) = parse_sim_name(&name) else { continue };
             let valid = fp == sim_fp
                 && fs::read(&path)
                     .ok()
@@ -1213,10 +1126,10 @@ impl TraceStore {
                     .is_some_and(|o| o.trace_cid == cid && o.fingerprint == fp);
             if valid {
                 *sim_by_cid.entry(cid).or_default() += size;
+                live_sims.push((path, cid, size));
             } else {
                 stats.stale_sims += 1;
-                stats.bytes_freed += size;
-                let _ = fs::remove_file(&path);
+                stats.free(&path, size);
             }
         }
         if let Some(cap) = max_bytes {
@@ -1239,8 +1152,7 @@ impl TraceStore {
                     kept.push((path, side, size, mtime));
                 } else {
                     stats.lru_entries += 1;
-                    stats.bytes_freed += size;
-                    let _ = fs::remove_file(&path);
+                    stats.free(&path, size);
                 }
             }
             survivors = kept;
@@ -1248,22 +1160,21 @@ impl TraceStore {
         let referenced: std::collections::HashSet<[u8; 32]> =
             survivors.iter().map(|(_, s, _, _)| s.cid).collect();
         let mut object_bytes_kept = 0u64;
-        for (path, cid, size) in self.objects() {
+        for (path, name, size) in objects {
+            let Some(cid) = parse_cid(&name) else { continue };
             if referenced.contains(&cid) {
                 object_bytes_kept += size;
             } else {
                 stats.orphan_objects += 1;
-                stats.bytes_freed += size;
-                let _ = fs::remove_file(&path);
+                stats.free(&path, size);
             }
         }
-        for (path, cid, _, size) in self.sims() {
+        for (path, cid, size) in live_sims {
             if referenced.contains(&cid) {
                 object_bytes_kept += size;
             } else {
                 stats.orphan_sims += 1;
-                stats.bytes_freed += size;
-                let _ = fs::remove_file(&path);
+                stats.free(&path, size);
             }
         }
         stats.entries_kept = survivors.len() as u64;
@@ -1271,6 +1182,42 @@ impl TraceStore {
             survivors.iter().map(|(_, _, n, _)| n).sum::<u64>() + object_bytes_kept;
         stats
     }
+}
+
+impl GcStats {
+    /// Delete `path`, charging its `size` to `bytes_freed`.
+    fn free(&mut self, path: &Path, size: u64) {
+        self.bytes_freed += size;
+        let _ = fs::remove_file(path);
+    }
+}
+
+/// Every regular file directly in `dir`: `(path, name, size)`.
+fn files_in(dir: &Path) -> Vec<(PathBuf, String, u64)> {
+    let Ok(entries) = fs::read_dir(dir) else { return Vec::new() };
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            let meta = entry.metadata().ok().filter(fs::Metadata::is_file)?;
+            let name = entry.file_name().into_string().ok()?;
+            Some((entry.path(), name, meta.len()))
+        })
+        .collect()
+}
+
+/// Every regular file in the shard directories of `dir` (`objects/` or
+/// `sim/`), listed once.
+fn shard_files(dir: &Path) -> Vec<(PathBuf, String, u64)> {
+    let Ok(shards) = fs::read_dir(dir) else { return Vec::new() };
+    shards.flatten().flat_map(|shard| files_in(&shard.path())).collect()
+}
+
+/// `(count, bytes)` of the `files` whose names `keep` accepts.
+fn count_files(files: &[(PathBuf, String, u64)], keep: impl Fn(&str) -> bool) -> (u64, u64) {
+    files
+        .iter()
+        .filter(|(_, name, _)| keep(name))
+        .fold((0, 0), |(n, bytes), (_, _, size)| (n + 1, bytes + size))
 }
 
 fn parse_cid(name: &str) -> Option<[u8; 32]> {
@@ -1395,6 +1342,18 @@ mod tests {
         assert!(tmp_files(&dir).is_empty(), "an unpublished image removes its file");
         let _ = fs::remove_dir_all(&dir);
         (bytes, side)
+    }
+
+    /// The verified raw body of `key`'s entry, read the way the cache
+    /// reads one: [`TraceStore::stat`], then [`TraceStore::open_body`]
+    /// drained and finished.
+    fn read_entry(store: &TraceStore, key: &str) -> Result<Vec<u8>, BodyError> {
+        let side = store.stat(key).ok_or(BodyError::Corrupt("no entry"))?;
+        let mut body = store.open_body(&side)?;
+        let mut raw = Vec::new();
+        body.read_to_end(&mut raw)?;
+        body.finish(&side.cid)?;
+        Ok(raw)
     }
 
     /// Drain an in-memory object image through a [`BodyReader`] in reads
@@ -1644,9 +1603,7 @@ mod tests {
 
         let got = store.stat("key-a|e1|c1").expect("stat hit");
         assert_eq!(got, side);
-        let (got, body) = store.get("key-a|e1|c1").expect("get hit");
-        assert_eq!(got, side);
-        assert_eq!(body, raw);
+        assert_eq!(read_entry(&store, "key-a|e1|c1").expect("body reads"), raw);
         assert!(store.stat("key-missing").is_none());
 
         // Identical trace under a second key: manifest only, one object.
@@ -1674,19 +1631,20 @@ mod tests {
         assert!(!opath.exists(), "corrupt object evicted");
         assert!(!store.manifest_path("k|e1|c1").exists(), "manifest evicted");
 
-        // Right size, flipped payload byte: get's hash check evicts.
+        // Right size, flipped payload byte: the size check passes, the
+        // streamed read fails.
         store.put("k|e1|c1", &mut side, &raw).expect("re-put");
         let mut image = fs::read(&opath).expect("object exists");
         let last = image.len() - 1;
         image[last] ^= 0xff;
         fs::write(&opath, &image).expect("corrupt");
-        assert!(store.get("k|e1|c1").is_none(), "hash mismatch must miss");
-        assert!(!opath.exists(), "hash-corrupt object evicted");
+        assert!(store.stat("k|e1|c1").is_some(), "same size: the manifest still hits");
+        assert!(read_entry(&store, "k|e1|c1").is_err(), "hash mismatch must fail the read");
 
         // Missing object: manifest reclaimed, nothing to evict.
         store.put("k|e1|c1", &mut side, &raw).expect("re-put");
         fs::remove_file(&opath).expect("remove object");
-        assert!(store.get("k|e1|c1").is_none(), "missing body must miss");
+        assert!(store.stat("k|e1|c1").is_none(), "missing body must miss");
         assert!(!store.manifest_path("k|e1|c1").exists(), "dangling manifest reclaimed");
 
         // Corrupt manifest bytes: reclaimed.
@@ -1698,30 +1656,38 @@ mod tests {
     }
 
     #[test]
-    fn open_sweeps_tmp_files_and_unreferenced_objects() {
+    fn open_keeps_tmp_files_and_unreferenced_objects_until_gc() {
         let (dir, store) = temp_store("sweep");
         let raw = vec![1u8; 100];
         let mut side = sample_sidecar("");
         store.put("live|e1|c1", &mut side, &raw).expect("put");
 
-        // Crashed-run debris: tmp files at every level, an object whose
-        // manifest publish failed, and a tmp file at the store root.
-        fs::write(dir.join("bench-0.trace.tmp.123.0"), b"x").expect("tmp");
-        fs::write(dir.join("manifest").join("a.m.tmp.123.1"), b"x").expect("tmp");
+        // Crashed-run debris: tmp files at every level, and an object
+        // whose manifest publish failed.
+        let root_tmp = dir.join("object.tmp.123.0");
+        let manifest_tmp = dir.join("manifest").join("a.m.tmp.123.1");
+        fs::write(&root_tmp, b"x").expect("tmp");
+        fs::write(&manifest_tmp, b"xy").expect("tmp");
         let mut orphan = sample_sidecar("");
         store.put("orphan|e1|c1", &mut orphan, b"orphan body").expect("put");
         fs::remove_file(store.manifest_path("orphan|e1|c1")).expect("drop its manifest");
         let opath = store.object_path(&orphan.cid);
         let shard_tmp = opath.with_file_name(format!("{}.tmp.9.9", cid_hex(&orphan.cid)));
-        fs::write(&shard_tmp, b"x").expect("tmp");
+        fs::write(&shard_tmp, b"xyz").expect("tmp");
+        let debris = [&root_tmp, &manifest_tmp, &opath, &shard_tmp];
 
+        // An open, which another process may make while this one
+        // records, deletes nothing.
         let reopened = TraceStore::open(&dir, true).expect("reopen");
-        assert!(!dir.join("bench-0.trace.tmp.123.0").exists(), "root tmp swept");
-        assert!(!dir.join("manifest").join("a.m.tmp.123.1").exists(), "manifest tmp swept");
-        assert!(!opath.exists(), "unreferenced object swept");
-        assert!(!shard_tmp.exists(), "object-shard tmp swept");
-        // The referenced entry survived.
-        assert!(reopened.get("live|e1|c1").is_some(), "live entry untouched");
+        assert!(debris.iter().all(|p| p.exists()), "open deleted a file");
+
+        let freed: u64 = debris.iter().map(|p| fs::metadata(p).expect("debris").len()).sum();
+        let stats = reopened.gc("|e1|c1", 7, None);
+        assert!(debris.iter().all(|p| !p.exists()), "gc reclaims every piece of debris");
+        assert_eq!(stats.orphan_objects, 1, "the unreferenced object");
+        assert_eq!(stats.bytes_freed, freed, "debris bytes are charged to bytes_freed");
+        assert_eq!(stats.entries_kept, 1);
+        assert_eq!(read_entry(&reopened, "live|e1|c1").expect("live entry untouched"), raw);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1756,8 +1722,8 @@ mod tests {
         assert!(stats.bytes_freed > 0);
         assert!(store.stat("old|e0.0.9+rev1|c1").is_none());
         assert!(store.stat("a|e1+rev2|c1").is_none());
-        assert!(store.get("b|e1+rev2|c1").is_some());
-        assert!(store.get("c|e1+rev2|c1").is_some());
+        assert_eq!(read_entry(&store, "b|e1+rev2|c1").expect("b reads"), raw_b);
+        assert_eq!(read_entry(&store, "c|e1+rev2|c1").expect("c reads"), raw_c);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1806,30 +1772,28 @@ mod tests {
     }
 
     #[test]
-    fn open_sweeps_orphan_sims_and_tmp_files() {
+    fn open_keeps_orphan_sims_and_tmp_files_until_gc() {
         let (dir, store) = temp_store("simsweep");
         let raw = vec![5u8; 200];
         let mut side = sample_sidecar("");
         store.put("live|e1|c1", &mut side, &raw).expect("put");
-        let live_sim = sample_sim(side.cid, 7);
-        store.sim_put(&live_sim).expect("put sim");
+        store.sim_put(&sample_sim(side.cid, 7)).expect("put sim");
 
         // An orphan sim (no manifest references its CID) plus tmp debris.
         let orphan_cid = sha256(b"gone trace");
         store.sim_put(&sample_sim(orphan_cid, 7)).expect("put orphan sim");
         let orphan_path = store.sim_path(&orphan_cid, 7);
-        fs::write(
-            orphan_path.with_file_name("x.s.tmp.1.2"),
-            b"x",
-        )
-        .expect("tmp");
+        let tmp = orphan_path.with_file_name("x.s.tmp.1.2");
+        fs::write(&tmp, b"x").expect("tmp");
 
         let reopened = TraceStore::open(&dir, true).expect("reopen");
-        assert!(!orphan_path.exists(), "orphan sim swept");
-        assert!(
-            reopened.sim_get(&side.cid, 7).is_some(),
-            "referenced sim untouched"
-        );
+        assert!(orphan_path.exists() && tmp.exists(), "open deleted a file");
+
+        let stats = reopened.gc("|e1|c1", 7, None);
+        assert!(!orphan_path.exists() && !tmp.exists(), "gc reclaims both");
+        assert_eq!((stats.orphan_sims, stats.stale_sims), (1, 0));
+        assert_eq!(stats.bytes_freed, SIM_OBJECT_LEN as u64 + 1);
+        assert!(reopened.sim_get(&side.cid, 7).is_some(), "referenced sim untouched");
         let _ = fs::remove_dir_all(&dir);
     }
 

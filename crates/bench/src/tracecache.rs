@@ -64,9 +64,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cli::Cli;
-use crate::runner::RunConfig;
+use crate::runner::{CacheDisposition, RunConfig, SimTelemetry};
 use crate::simcache::{sim_fingerprint, SimCacheMode};
-use crate::store::{cid_hex, fnv1a64, sha256, ObjectImage, ObjectWriter, Sidecar, TraceStore};
+use crate::store::{cid_hex, sha256, ObjectImage, ObjectWriter, Sidecar, TraceStore};
 use crate::suite::find;
 use checkelide_engine::Mechanism;
 use checkelide_isa::codec::{TraceError, TraceReader};
@@ -263,29 +263,38 @@ impl TraceCache {
         }
     }
 
-    pub(crate) fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    /// Count one [`crate::runner::try_run_benchmark_cached`] call: how
+    /// its cell was served and its sim-cache activity. The one place hits,
+    /// misses and sim activity are counted, so the store-wide totals are
+    /// the sums of the per-cell ones.
+    pub(crate) fn count(&self, disposition: CacheDisposition, sim: SimTelemetry) {
+        match disposition {
+            CacheDisposition::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
+            CacheDisposition::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
+            CacheDisposition::Off => return,
+        };
+        self.sim_hits.fetch_add(sim.hits, Ordering::Relaxed);
+        self.sim_misses.fetch_add(sim.misses, Ordering::Relaxed);
+        self.sim_verify_mismatches.fetch_add(sim.verify_mismatches, Ordering::Relaxed);
     }
 
-    /// Count a timed cell that ran `CoreSim` while the sim cache was
-    /// active (the runner calls this so cold live runs count too).
-    pub(crate) fn note_sim_miss(&self) {
-        self.sim_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a verify-mode divergence between a memoized and a live
-    /// result.
-    pub(crate) fn note_sim_verify_mismatch(&self) {
-        self.sim_verify_mismatches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Look up the memoized simulation for a trace CID under the current
-    /// config fingerprint. Counts a hit on success; the caller counts the
-    /// miss when (and only when) it actually simulates.
-    pub(crate) fn sim_fetch(&self, cid: &[u8; 32]) -> Option<SimObject> {
-        let obj = self.store.as_ref()?.sim_get(cid, sim_fingerprint())?;
-        self.sim_hits.fetch_add(1, Ordering::Relaxed);
+    /// Look up the memoized simulation of the trace `side` locates under
+    /// the current config fingerprint. An object whose µop count
+    /// disagrees with the manifest is evicted, so the re-simulation's
+    /// publish replaces it instead of finding it already in place.
+    pub(crate) fn sim_fetch(&self, side: &Sidecar) -> Option<SimObject> {
+        let store = self.store.as_ref()?;
+        let obj = store.sim_get(&side.cid, sim_fingerprint())?;
         self.bytes_read.fetch_add(SIM_OBJECT_LEN as u64, Ordering::Relaxed);
+        if obj.result.uops != side.uops {
+            eprintln!(
+                "warning: memoized sim result for {} disagrees with its manifest; \
+                 re-simulating",
+                side.key
+            );
+            let _ = std::fs::remove_file(store.sim_path(&side.cid, sim_fingerprint()));
+            return None;
+        }
         Some(obj)
     }
 
@@ -307,29 +316,13 @@ impl TraceCache {
         }
     }
 
-    /// The cache entry for one `(benchmark, resolved scale, config)` cell,
-    /// or `None` when the cache is disabled.
-    #[must_use]
-    pub fn entry(&self, bench: &str, scale: i32, cfg: &RunConfig) -> Option<CacheEntry> {
-        if !self.enabled() {
-            return None;
-        }
-        Some(CacheEntry { key: cache_key(bench, scale, cfg) })
-    }
-
-    /// Look up an entry's manifest (an existence and size check of its
+    /// Look up `key`'s manifest (an existence and size check of its
     /// object, no body read). Any failure — absence or corruption — is a
-    /// `None` miss; the caller records live. The hit is counted by
-    /// [`TraceCache::note_hit`] once the entry has served its cell.
-    pub(crate) fn fetch(&self, entry: &CacheEntry) -> Option<Sidecar> {
-        let side = self.store.as_ref()?.stat(&entry.key)?;
+    /// `None` miss; the caller records live.
+    pub(crate) fn fetch(&self, key: &str) -> Option<Sidecar> {
+        let side = self.store.as_ref()?.stat(key)?;
         self.bytes_read.fetch_add(side.encode().len() as u64, Ordering::Relaxed);
         Some(side)
-    }
-
-    /// Count an entry that served its cell without engine execution.
-    pub(crate) fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Replay the trace body `side` locates into `sink` through the
@@ -368,13 +361,13 @@ impl TraceCache {
             .object_writer()
     }
 
-    /// Publish a recording's finished object: fills `side`'s
-    /// store-location fields, renames the object file into the store (or
-    /// drops it on a dedup), writes the manifest, and counts the store.
-    /// Failures warn and return; a cache problem is never a run failure.
-    pub(crate) fn publish(&self, entry: &CacheEntry, side: &mut Sidecar, image: ObjectImage) {
+    /// Publish a recording's finished object under `side.key`: fills
+    /// `side`'s store-location fields, renames the object file into the
+    /// store (or drops it on a dedup), writes the manifest, and counts the
+    /// store. Failures warn and return; a cache problem is never a run
+    /// failure.
+    pub(crate) fn publish(&self, side: &mut Sidecar, image: ObjectImage) {
         let Some(store) = &self.store else { return };
-        side.key = entry.key.clone();
         let raw_len = image.raw_len;
         match store.put_object(side, image) {
             Ok(outcome) => {
@@ -387,25 +380,18 @@ impl TraceCache {
                 self.bytes_written
                     .fetch_add(side.encode().len() as u64 + body, Ordering::Relaxed);
             }
-            Err(e) => eprintln!("warning: trace cache store for {} failed: {e}", entry.key),
+            Err(e) => eprintln!("warning: trace cache store for {} failed: {e}", side.key),
         }
     }
 
     /// Drop an entry that failed to serve its cell: its manifest and the
     /// object `cid`, so the re-recording publishes a fresh object rather
     /// than deduplicating against the failed one.
-    pub(crate) fn evict(&self, entry: &CacheEntry, cid: &[u8; 32]) {
+    pub(crate) fn evict(&self, key: &str, cid: &[u8; 32]) {
         if let Some(store) = &self.store {
-            store.evict_entry(&entry.key, Some(cid));
+            store.evict_entry(key, Some(cid));
         }
     }
-}
-
-/// Canonical key of one cache entry.
-#[derive(Debug, Clone)]
-pub struct CacheEntry {
-    /// Full canonical key string (also stored in the manifest).
-    pub key: String,
 }
 
 /// Canonical key string for one cell. Everything that can influence the
@@ -440,13 +426,6 @@ fn key_for_source(bench: &str, source: &str, scale: i32, cfg: &RunConfig) -> Str
 #[must_use]
 pub fn current_key_suffix() -> String {
     format!("|e{}|c{}", env!("UOP_SOURCE_FP"), checkelide_isa::codec::TRACE_VERSION)
-}
-
-/// FNV-1a 64 of the key (the manifest stem hash; see
-/// [`crate::store::TraceStore::stem`]).
-#[must_use]
-pub fn key_hash(key: &str) -> u64 {
-    fnv1a64(key.as_bytes())
 }
 
 #[cfg(test)]
@@ -521,7 +500,7 @@ mod tests {
         let c = TraceCache::disabled();
         assert!(!c.enabled());
         assert_eq!(c.sim_mode(), SimCacheMode::Off);
-        assert!(c.entry("ai-astar", 4, &RunConfig::characterize()).is_none());
+        assert!(c.local_store().is_none());
     }
 
     #[test]
@@ -570,7 +549,7 @@ mod tests {
         let run = || crate::runner::try_run_benchmark_cached(bench, cfg, &cache).expect("runs").1;
         assert_eq!(run(), crate::runner::CacheDisposition::Miss);
         let store = cache.local_store().expect("store");
-        let key = cache.entry("ai-astar", 1, &cfg).expect("enabled").key;
+        let key = cache_key("ai-astar", 1, &cfg);
         let side = store.stat(&key).expect("recorded");
         assert!(side.stored_bytes < side.trace_bytes, "the object is stored compressed");
         let before = cache.stats();

@@ -6,10 +6,12 @@
 //! live with the cache off. These tests exercise that promise through
 //! the public `try_run_benchmark_cached` entry point (live vs cold-miss
 //! vs warm-hit), prove `--sim-cache verify` actually catches a planted
-//! divergence, and property-test the store-level round trip on
-//! arbitrary result payloads.
+//! divergence, that a memoized result disagreeing with its manifest is
+//! replaced, and property-test the store-level round trip on arbitrary
+//! result payloads.
 
 use checkelide_bench::runner::{try_run_benchmark_cached, CacheDisposition, RunConfig, RunOutput};
+use checkelide_bench::tracecache::cache_key;
 use checkelide_bench::{find, sim_fingerprint, SimCacheMode, SimTelemetry, TraceCache};
 use checkelide_uarch::{CacheStats, RegionTotals, SimObject, SimResult};
 use proptest::prelude::*;
@@ -32,8 +34,7 @@ fn run(cache: &TraceCache, cfg: RunConfig) -> (RunOutput, CacheDisposition, SimT
 fn sim_image(out: &RunOutput, cache: &TraceCache, cfg: &RunConfig) -> Vec<u8> {
     let sim = out.sim.as_ref().expect("timed run carries a SimResult");
     let store = cache.local_store().expect("local backend");
-    let entry = cache.entry("ai-astar", 1, cfg).expect("cache enabled");
-    let side = store.stat(&entry.key).expect("entry recorded");
+    let side = store.stat(&cache_key("ai-astar", 1, cfg)).expect("entry recorded");
     SimObject::new(side.cid, sim_fingerprint(), sim.clone()).encode()
 }
 
@@ -96,8 +97,7 @@ fn verify_mode_passes_clean_store_and_detects_tampering() {
     // sign-flipped energy field. Its checksum is valid — only a real
     // re-simulation can notice.
     let store = verify.local_store().expect("local backend");
-    let entry = verify.entry("ai-astar", 1, &cfg).expect("cache enabled");
-    let side = store.stat(&entry.key).expect("entry recorded");
+    let side = store.stat(&cache_key("ai-astar", 1, &cfg)).expect("entry recorded");
     let fp = sim_fingerprint();
     let good = store.sim_get(&side.cid, fp).expect("memoized result present");
     let mut bad = good.result.clone();
@@ -117,6 +117,42 @@ fn verify_mode_passes_clean_store_and_detects_tampering() {
     let live_obj = SimObject::new(side.cid, fp, live.clone());
     assert_eq!(live_obj.encode(), good.encode(), "verify must return the live result");
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A memoized result that decodes but disagrees with its manifest (one
+/// µop too many) is not served: the cell re-simulates, counted as a sim
+/// miss and nothing else, store-wide as in the cell, and the republish
+/// replaces the bad object, so the next run hits.
+#[test]
+fn a_sim_object_disagreeing_with_its_manifest_is_replaced() {
+    let dir = fresh_dir("heal");
+    let cfg = RunConfig::baseline_timed().with_scale(1).with_iterations(2);
+    let (_, disp, _) = run(&TraceCache::at(&dir), cfg);
+    assert_eq!(disp, CacheDisposition::Miss);
+
+    let cache = TraceCache::at(&dir);
+    let store = cache.local_store().expect("local backend");
+    let side = store.stat(&cache_key("ai-astar", 1, &cfg)).expect("entry recorded");
+    let fp = sim_fingerprint();
+    let good = store.sim_get(&side.cid, fp).expect("cold run memoized");
+    let mut bad = good.result.clone();
+    bad.uops += 1;
+    fs::remove_file(store.sim_path(&side.cid, fp)).expect("drop good object");
+    store.sim_put(&SimObject::new(side.cid, fp, bad)).expect("plant disagreeing object");
+
+    let (out, disp, tel) = run(&cache, cfg);
+    assert_eq!(disp, CacheDisposition::Hit);
+    assert_eq!(tel, SimTelemetry { hits: 0, misses: 1, verify_mismatches: 0 });
+    let s = cache.stats();
+    assert_eq!((s.sim_hits, s.sim_misses), (0, 1), "store-wide counts match the cell's");
+    let live = SimObject::new(side.cid, fp, out.sim.expect("timed"));
+    assert_eq!(live.encode(), good.encode(), "served from the re-simulation");
+
+    let (_, disp, tel) = run(&cache, cfg);
+    assert_eq!(disp, CacheDisposition::Hit);
+    assert_eq!(tel, SimTelemetry { hits: 1, misses: 0, verify_mismatches: 0 }, "healed");
+    assert_eq!(store.sim_get(&side.cid, fp).expect("republished").encode(), good.encode());
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -4,9 +4,10 @@
 //! one-shot objects.
 
 use checkelide_bench::runner::{try_run_benchmark_cached, CacheDisposition, RunConfig};
-use checkelide_bench::{find, sim_fingerprint, Benchmark, TraceCache};
+use checkelide_bench::tracecache::cache_key;
+use checkelide_bench::{find, sim_fingerprint, Benchmark, Sidecar, TraceCache, TraceStore};
 use checkelide_uarch::{SimObject, SIM_OBJECT_LEN};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -78,7 +79,7 @@ fn gc_binary_drops_stale_salt_and_bounds_size() {
     let cache = TraceCache::at(&dir);
     let cfg = quick_cfg();
     assert_eq!(run_one(&cache, cfg), CacheDisposition::Miss);
-    let live_key = cache.entry("ai-astar", 1, &cfg).expect("enabled").key;
+    let live_key = cache_key("ai-astar", 1, &cfg);
 
     // Hand-plant an entry recorded under another source fingerprint.
     let store = cache.local_store().expect("local backend");
@@ -123,7 +124,7 @@ fn gc_binary_reclaims_sim_objects_and_charges_their_bytes() {
     let cache = TraceCache::at(&dir);
     let cfg = RunConfig::baseline_timed().with_scale(1).with_iterations(2);
     assert_eq!(run_one(&cache, cfg), CacheDisposition::Miss, "timed cold run records + memoizes");
-    let key = cache.entry("ai-astar", 1, &cfg).expect("enabled").key;
+    let key = cache_key("ai-astar", 1, &cfg);
     let store = cache.local_store().expect("local backend");
     let side = store.stat(&key).expect("entry recorded");
     let fp = sim_fingerprint();
@@ -133,8 +134,9 @@ fn gc_binary_reclaims_sim_objects_and_charges_their_bytes() {
     // fingerprint (as other simulator code would have stored it), and a
     // valid sim riding on a stale-salt trace entry: when gc drops that
     // entry, its sim loses its last manifest reference and must be
-    // reclaimed as an orphan in the same pass. (A sim with no manifest at
-    // all never reaches gc — the store sweeps those at open.)
+    // reclaimed as an orphan in the same pass. (A sim whose CID no
+    // manifest ever named is an orphan to the same pass: opening a store
+    // deletes nothing.)
     let stale = SimObject::new(side.cid, fp ^ 1, good.result.clone());
     store.sim_put(&stale).expect("plant stale sim");
     let stale_key = "ai-astar|s1|profile|optfalse|bbvfalse|it2|cc0x0|e0.0.0+rev0|c0";
@@ -207,13 +209,22 @@ fn streamed_recordings_match_one_shot_objects_on_real_traces() {
     };
     for (_, side, _, _) in manifests {
         let image = std::fs::read(store.object_path(&side.cid)).expect("object stored");
-        let (_, raw) = store.get(&side.key).expect("object verifies");
+        let raw = read_body(store, &side);
         assert!(image == written(&raw, raw.len()), "{}", side.key);
         for cut in [61, 4093] {
             assert!(image == written(&raw, cut), "{}, writes of {cut}", side.key);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The raw body `side` locates, streamed from its object and verified.
+fn read_body(store: &TraceStore, side: &Sidecar) -> Vec<u8> {
+    let mut body = store.open_body(side).expect("object opens");
+    let mut raw = Vec::new();
+    body.read_to_end(&mut raw).expect("object reads");
+    body.finish(&side.cid).expect("object verifies");
+    raw
 }
 
 /// Every `*.tmp.*` file anywhere under `dir`.
@@ -253,7 +264,7 @@ fn tracegc_rejects_an_unknown_flag() {
     assert_eq!(out.status.code(), Some(2), "typo'd flag must fail: {stderr}");
     assert!(stderr.contains("--max-store-byte"), "the error names the flag: {stderr}");
     assert_eq!(store.summary(), before, "store untouched");
-    let key = cache.entry("ai-astar", 1, &cfg).expect("enabled").key;
+    let key = cache_key("ai-astar", 1, &cfg);
     assert!(store.stat(&key).is_some(), "entry survives");
     let _ = std::fs::remove_dir_all(&dir);
 }

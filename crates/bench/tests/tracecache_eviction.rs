@@ -11,8 +11,10 @@
 
 use checkelide_bench::runner::{try_run_benchmark_cached, CacheDisposition, RunConfig};
 use checkelide_bench::store::{sha256, Sidecar, TraceStore, OBJECT_HEADER_LEN};
+use checkelide_bench::tracecache::cache_key;
 use checkelide_bench::{find, sim_fingerprint, SimCacheMode, TraceCache};
 use std::fs::{self, OpenOptions};
+use std::io::Read;
 use std::path::PathBuf;
 
 fn fresh_cache_dir(tag: &str) -> PathBuf {
@@ -32,9 +34,9 @@ fn run(cache: &TraceCache, cfg: RunConfig) -> CacheDisposition {
 /// The store paths behind a cache entry: `(manifest, object)`.
 fn paths(cache: &TraceCache, cfg: &RunConfig) -> (PathBuf, PathBuf) {
     let store = cache.local_store().expect("local backend");
-    let entry = cache.entry("ai-astar", 1, cfg).expect("cache enabled");
-    let side = store.stat(&entry.key).expect("entry recorded");
-    (store.manifest_path(&entry.key), store.object_path(&side.cid))
+    let key = cache_key("ai-astar", 1, cfg);
+    let side = store.stat(&key).expect("entry recorded");
+    (store.manifest_path(&key), store.object_path(&side.cid))
 }
 
 #[test]
@@ -136,8 +138,7 @@ fn repeated_recordings_share_one_content_id() {
         let cache = TraceCache::at(&dir);
         assert_eq!(run(&cache, cfg), CacheDisposition::Miss);
         let store = cache.local_store().expect("local");
-        let entry = cache.entry("ai-astar", 1, &cfg).expect("entry");
-        let side = store.stat(&entry.key).expect("recorded");
+        let side = store.stat(&cache_key("ai-astar", 1, &cfg)).expect("recorded");
         cids.push((checkelide_bench::store::cid_hex(&side.cid), side.trace_bytes));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -161,7 +162,7 @@ fn drill(tag: &str, corrupt: impl FnOnce(&TraceStore, &Sidecar) -> [u8; 32]) {
     assert_eq!(run(&cache, cfg), CacheDisposition::Miss, "cold timed run records");
 
     let store = cache.local_store().expect("local backend");
-    let key = cache.entry("ai-astar", 1, &cfg).expect("cache enabled").key;
+    let key = cache_key("ai-astar", 1, &cfg);
     let side = store.stat(&key).expect("entry recorded");
     let (manifest, object) = (store.manifest_path(&key), store.object_path(&side.cid));
     let (good_manifest, good_object) = (fs::read(&manifest).unwrap(), fs::read(&object).unwrap());
@@ -187,6 +188,15 @@ fn drill(tag: &str, corrupt: impl FnOnce(&TraceStore, &Sidecar) -> [u8; 32]) {
     let after = cache.stats();
     assert_eq!((after.misses, after.sim_misses), (before.misses, before.sim_misses), "{tag}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The raw body `side` locates, streamed from its object and verified.
+fn read_body(store: &TraceStore, side: &Sidecar) -> Vec<u8> {
+    let mut body = store.open_body(side).expect("object opens");
+    let mut raw = Vec::new();
+    body.read_to_end(&mut raw).expect("object reads");
+    body.finish(&side.cid).expect("object verifies");
+    raw
 }
 
 /// Store `raw` as `side`'s body, then file its object under `cid` (a
@@ -241,7 +251,7 @@ fn wrong_raw_len_evicts_and_reheals() {
 fn bytes_after_the_trace_trailer_evict_and_reheal() {
     drill("drill-trailing", |store, side| {
         // A body that hashes to its own CID, whose trace ends early.
-        let (_, mut raw) = store.get(&side.key).expect("body reads");
+        let mut raw = read_body(store, side);
         raw.extend_from_slice(b"bytes after the trailer");
         repoint(store, side, &raw, sha256(&raw))
     });
@@ -251,7 +261,7 @@ fn bytes_after_the_trace_trailer_evict_and_reheal() {
 fn decodable_body_under_the_wrong_cid_evicts_and_reheals() {
     drill("drill-wrong-cid", |store, side| {
         // The cell's own, fully decodable body, filed under another CID.
-        let (_, raw) = store.get(&side.key).expect("body reads");
+        let raw = read_body(store, side);
         repoint(store, side, &raw, sha256(b"some other trace"))
     });
 }

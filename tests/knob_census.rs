@@ -1,9 +1,8 @@
 //! Knob census: README's "Environment variables" table must list exactly
 //! the `CHECKELIDE_*` variables that non-test code under `crates/*/src`
 //! names. A new knob without documentation, or a documented knob the code
-//! no longer reads, fails this test. Flags are the settings surface: the
-//! one environment read non-test code may make is the fault-injection
-//! test hook in `figures.rs`.
+//! no longer reads, fails this test. Flags are the settings surface:
+//! non-test code reads the environment nowhere.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -105,7 +104,7 @@ fn readme_table_lists_exactly_the_variables_the_code_reads() {
 }
 
 #[test]
-fn non_test_code_reads_the_environment_at_one_site() {
+fn non_test_code_reads_no_environment() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let reads: Vec<(String, String)> = sources(root)
         .into_iter()
@@ -113,13 +112,10 @@ fn non_test_code_reads_the_environment_at_one_site() {
             env_reads_in(&text).into_iter().map(move |line| (file.clone(), line))
         })
         .collect();
-    let allowed = [(
-        "bench/src/figures.rs".to_string(),
-        "let inject = std::env::var(INJECT_PANIC_ENV).ok();".to_string(),
-    )];
     assert_eq!(
-        reads, allowed,
-        "only the fault-injection test hook may read the environment; \
+        reads,
+        [],
+        "non-test code may not read the environment; \
          settings are command-line flags (crates/bench/src/cli.rs)"
     );
 }
