@@ -1,18 +1,11 @@
 //! Regenerate Figure 2: check/untag overhead after object load accesses.
 //!
-//!     fig2 [--quick] [--jobs N] [--trace-cache DIR|off]
+//!     fig2 [--quick] [--jobs N] [--trace-cache DIR|off] [--sim-cache on|off|verify]
+//!
+//! Writes `results/fig2.json` and `results/run_meta.json`.
+
+use checkelide_bench::{figures, Cli};
 
 fn main() {
-    let cli = checkelide_bench::Cli::parse();
-    let (quick, jobs) = (cli.quick, cli.jobs);
-    let cache = checkelide_bench::TraceCache::from_cli(&cli, false);
-    let report = checkelide_bench::figures::fig2_report_cached(quick, jobs, &cache);
-    print!("{}", checkelide_bench::figures::render_fig2(&report.rows));
-    checkelide_bench::figures::save_json("fig2", &report.rows)
-        .expect("write results/fig2.json");
-    eprintln!("saved results/fig2.json");
-    if !report.failures.is_empty() {
-        eprint!("{}", checkelide_bench::figures::render_failures(&report.failures));
-        std::process::exit(1);
-    }
+    figures::drive("fig2", &Cli::parse(), false, &[&figures::FIG2]);
 }

@@ -1,19 +1,12 @@
 //! Regenerate Figure 3: object loads from monomorphic properties and
 //! elements arrays.
 //!
-//!     fig3 [--quick] [--jobs N] [--trace-cache DIR|off]
+//!     fig3 [--quick] [--jobs N] [--trace-cache DIR|off] [--sim-cache on|off|verify]
+//!
+//! Writes `results/fig3.json` and `results/run_meta.json`.
+
+use checkelide_bench::{figures, Cli};
 
 fn main() {
-    let cli = checkelide_bench::Cli::parse();
-    let (quick, jobs) = (cli.quick, cli.jobs);
-    let cache = checkelide_bench::TraceCache::from_cli(&cli, false);
-    let report = checkelide_bench::figures::fig3_report_cached(quick, jobs, &cache);
-    print!("{}", checkelide_bench::figures::render_fig3(&report.rows));
-    checkelide_bench::figures::save_json("fig3", &report.rows)
-        .expect("write results/fig3.json");
-    eprintln!("saved results/fig3.json");
-    if !report.failures.is_empty() {
-        eprint!("{}", checkelide_bench::figures::render_failures(&report.failures));
-        std::process::exit(1);
-    }
+    figures::drive("fig3", &Cli::parse(), false, &[&figures::FIG3]);
 }

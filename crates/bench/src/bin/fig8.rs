@@ -1,45 +1,30 @@
-//! Regenerate Figure 8 (speedup) and, as a side effect of sharing the
-//! runs, Figure 9 (energy). Use `--detail <name>` for the §5.1 ai-astar
-//! style memory-hierarchy analysis of one benchmark.
+//! Regenerate Figure 8 (speedup) and, from the same runs, Figure 9
+//! (energy). Use `--detail <name>` for the §5.1 ai-astar style
+//! memory-hierarchy analysis of one benchmark.
 //!
 //!     fig8 [--quick] [--jobs N] [--detail <benchmark>] [--trace-cache DIR|off]
 //!          [--sim-cache on|off|verify]
 //!
-//! Cache activity and per-cell hit/miss dispositions are saved to
-//! `results/run_meta.json`.
+//! Writes `results/fig8_fig9.json` and `results/run_meta.json`
+//! (`--detail` writes nothing). Exits nonzero on a failed cell or a
+//! `--sim-cache verify` mismatch.
 
-use checkelide_bench::figures::RunMeta;
+use checkelide_bench::{figures, find, Cli, TraceCache};
 
 fn main() {
-    let cli = checkelide_bench::Cli::parse();
-    let quick = cli.quick;
-    if let Some(name) = cli.value_of("--detail") {
-        let b = checkelide_bench::find(name).expect("unknown benchmark");
-        let row = checkelide_bench::figures::fig89_one(b, quick);
-        println!("{name}:");
-        println!("  speedup (whole app)    {:>7.1}%", row.speedup_whole);
-        println!("  speedup (optimized)    {:>7.1}%", row.speedup_opt);
-        println!("  dyn. instructions      {} -> {}", row.base_uops, row.full_uops);
-        println!("  cycles                 {} -> {}", row.base_cycles, row.full_cycles);
-        println!("  DL1 hit rate           {:.4} -> {:.4}", row.dl1_hit.0, row.dl1_hit.1);
-        println!("  L2 hit rate            {:.4} -> {:.4}", row.l2_hit.0, row.l2_hit.1);
-        println!("  DTLB hit rate          {:.4} -> {:.4}", row.dtlb_hit.0, row.dtlb_hit.1);
-        println!("  Class Cache hit rate   {:.5}", row.class_cache_hit);
-        return;
-    }
-    let cache = checkelide_bench::TraceCache::from_cli(&cli, false);
-    let start = std::time::Instant::now();
-    let report = checkelide_bench::figures::fig89_report_cached(quick, cli.jobs, &cache);
-    print!("{}", checkelide_bench::figures::render_fig89(&report.rows));
-    checkelide_bench::figures::save_json("fig8_fig9", &report.rows).expect("write results");
-    let mut meta = RunMeta::new(cli.jobs, quick);
-    meta.absorb(&report);
-    meta.total_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    meta.set_trace_cache(&cache);
-    meta.save().expect("write results/run_meta.json");
-    eprintln!("saved results/fig8_fig9.json");
-    if !report.failures.is_empty() {
-        eprint!("{}", checkelide_bench::figures::render_failures(&report.failures));
-        std::process::exit(1);
+    let cli = Cli::parse();
+    let Some(name) = cli.value_of("--detail") else {
+        figures::drive("fig8", &cli, false, &[&figures::FIG89]);
+    };
+    let b = find(name).expect("unknown benchmark");
+    match figures::fig89_one_cell(b, cli.quick, &TraceCache::from_cli(&cli, false)) {
+        Ok((row, _, _, sim)) => {
+            print!("{}", figures::render_fig89_detail(&row));
+            std::process::exit(figures::exit_status(sim.verify_mismatches, 0));
+        }
+        Err(e) => {
+            eprintln!("fig8: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -1,25 +1,12 @@
 //! §5.3 incurred overheads: warm-up, Class Cache hit rates, larger
 //! objects, line-0 access fraction.
 //!
-//!     overheads [--quick] [--jobs N] [--trace-cache DIR|off]
+//!     overheads [--quick] [--jobs N] [--trace-cache DIR|off] [--sim-cache on|off|verify]
+//!
+//! Writes `results/overheads.json` and `results/run_meta.json`.
+
+use checkelide_bench::{figures, Cli};
 
 fn main() {
-    let cli = checkelide_bench::Cli::parse();
-    let (quick, jobs) = (cli.quick, cli.jobs);
-    let cache = checkelide_bench::TraceCache::from_cli(&cli, false);
-    let report = checkelide_bench::figures::overheads_report_cached(quick, jobs, &cache);
-    let rows = &report.rows;
-    print!("{}", checkelide_bench::figures::render_overheads(rows));
-    let avg_hit =
-        rows.iter().map(|r| r.cc_hit_rate).sum::<f64>() / rows.len().max(1) as f64;
-    let avg_line0 =
-        rows.iter().map(|r| r.line0_frac).sum::<f64>() / rows.len().max(1) as f64;
-    println!("\naverage Class Cache hit rate: {:.3}% (paper: >99.9%)", 100.0 * avg_hit);
-    println!("average line-0 access share : {:.1}% (paper: 79%)", 100.0 * avg_line0);
-    checkelide_bench::figures::save_json("overheads", rows).expect("write results");
-    eprintln!("saved results/overheads.json");
-    if !report.failures.is_empty() {
-        eprint!("{}", checkelide_bench::figures::render_failures(&report.failures));
-        std::process::exit(1);
-    }
+    figures::drive("overheads", &Cli::parse(), false, &[&figures::OVERHEADS]);
 }

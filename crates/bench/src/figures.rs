@@ -4,16 +4,21 @@
 //! [`crate::pool`] worker pool and returns a [`FigureReport`]: rows in
 //! registry order, per-cell observability metadata, and any failures —
 //! a panicking or erroring benchmark becomes a reported [`CellError`]
-//! instead of aborting the run. Rows are written as JSON under `results/`
-//! by the binaries, with a per-run `results/run_meta.json` capturing
-//! wall-time, dynamic µops, µop throughput and worker id for every cell.
-//! `quick` mode shrinks workloads for CI/tests.
+//! instead of aborting the run. [`drive`] is the one front end of the
+//! figure binaries: it runs a list of [`Stage`]s, prints each table,
+//! writes its rows as JSON under `results/` and a per-run
+//! `results/run_meta.json` capturing wall-time, dynamic µops, µop
+//! throughput and worker id for every cell, and exits nonzero on a failed
+//! cell or a sim-cache verify mismatch. `quick` mode shrinks workloads
+//! for CI/tests.
 
+use crate::cli::Cli;
 use crate::json::{json_obj, Json, ToJson};
 use crate::pool::{self, CellError};
 use crate::runner::{
     try_run_benchmark_cached, CacheDisposition, RunConfig, RunError, RunOutput, SimTelemetry,
 };
+use crate::simcache::SimCacheMode;
 use crate::suite::{selected, Benchmark, Suite, BENCHMARKS};
 use crate::tracecache::TraceCache;
 
@@ -296,31 +301,6 @@ impl RunMeta {
     /// Record the run's final trace-cache counters.
     pub fn set_trace_cache(&mut self, cache: &TraceCache) {
         self.trace_cache = Some(TraceCacheMeta::snapshot(cache));
-    }
-
-    /// Number of failed cells.
-    pub fn failed_cells(&self) -> usize {
-        self.cells.iter().filter(|c| !c.ok).count()
-    }
-
-    /// Number of cells served from the trace cache.
-    pub fn cache_hits(&self) -> usize {
-        self.cells.iter().filter(|c| c.cache == "hit").count()
-    }
-
-    /// Total sim-cache hits across all cells.
-    pub fn sim_hits(&self) -> u64 {
-        self.cells.iter().map(|c| c.sim_hits).sum()
-    }
-
-    /// Total sim-cache misses (live `CoreSim` passes) across all cells.
-    pub fn sim_misses(&self) -> u64 {
-        self.cells.iter().map(|c| c.sim_misses).sum()
-    }
-
-    /// Total verify-mode mismatches across all cells.
-    pub fn sim_verify_mismatches(&self) -> u64 {
-        self.cells.iter().map(|c| c.sim_verify_mismatches).sum()
     }
 
     /// Persist to `results/run_meta.json`.
@@ -705,21 +685,17 @@ pub fn fig89_report_cached(
     })
 }
 
-/// Run Figures 8/9 for one benchmark, reporting failures as data.
-///
-/// A checksum divergence between the baseline and mechanism runs is a
-/// [`RunError::ChecksumMismatch`] — it flows into the pool's failure
-/// summary instead of aborting the suite (the seed used `assert_eq!`
-/// here).
+/// Run Figures 8/9 for one benchmark through `cache`: its row, the
+/// dynamic µops of both runs, the cell's cache disposition and its
+/// sim-cache telemetry.
 ///
 /// # Errors
 ///
-/// Any [`RunError`] from either configuration, or the checksum mismatch.
-pub fn try_fig89_one(b: &Benchmark, quick: bool) -> Result<Fig89Row, RunError> {
-    fig89_one_cell(b, quick, &TraceCache::disabled()).map(|(row, _, _, _)| row)
-}
-
-fn fig89_one_cell(
+/// Any [`RunError`] from either configuration, or a
+/// [`RunError::ChecksumMismatch`] when the baseline and mechanism runs
+/// disagree — it flows into the pool's failure summary instead of
+/// aborting the suite.
+pub fn fig89_one_cell(
     b: &Benchmark,
     quick: bool,
     cache: &TraceCache,
@@ -773,16 +749,6 @@ fn fig89_one_cell(
     Ok((row, base.uops + full.uops, disp, sim_tel))
 }
 
-/// Run Figures 8/9 for one benchmark, panicking on failure (compat
-/// wrapper used by the smoke tests and `fig8 --detail`).
-///
-/// # Panics
-///
-/// On any [`RunError`], including checksum mismatches.
-pub fn fig89_one(b: &Benchmark, quick: bool) -> Fig89Row {
-    try_fig89_one(b, quick).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Render Figure 8 (speedup) and Figure 9 (energy).
 pub fn render_fig89(rows: &[Fig89Row]) -> String {
     use std::fmt::Write as _;
@@ -827,6 +793,22 @@ pub fn render_fig89(rows: &[Fig89Row]) -> String {
             rows.iter().map(|r| r.energy_opt).sum::<f64>() / n,
         );
     }
+    out
+}
+
+/// Render the §5.1 memory-hierarchy analysis of one Figure 8/9 row
+/// (`fig8 --detail <benchmark>`).
+pub fn render_fig89_detail(r: &Fig89Row) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!("{}:\n", r.name);
+    let _ = writeln!(out, "  speedup (whole app)    {:>7.1}%", r.speedup_whole);
+    let _ = writeln!(out, "  speedup (optimized)    {:>7.1}%", r.speedup_opt);
+    let _ = writeln!(out, "  dyn. instructions      {} -> {}", r.base_uops, r.full_uops);
+    let _ = writeln!(out, "  cycles                 {} -> {}", r.base_cycles, r.full_cycles);
+    let _ = writeln!(out, "  DL1 hit rate           {:.4} -> {:.4}", r.dl1_hit.0, r.dl1_hit.1);
+    let _ = writeln!(out, "  L2 hit rate            {:.4} -> {:.4}", r.l2_hit.0, r.l2_hit.1);
+    let _ = writeln!(out, "  DTLB hit rate          {:.4} -> {:.4}", r.dtlb_hit.0, r.dtlb_hit.1);
+    let _ = writeln!(out, "  Class Cache hit rate   {:.5}", r.class_cache_hit);
     out
 }
 
@@ -1063,7 +1045,7 @@ impl ToJson for OverheadRow {
 /// `with_timing(false)` — the resulting cache key matches Figures 8/9's
 /// mechanism configuration (timing is deliberately excluded from the key:
 /// `CoreSim` is a pure trace consumer), letting a warm cache serve every
-/// cell from the fig8/fig9 recordings.
+/// cell from the Figures 8/9 recordings.
 pub fn overheads_report_cached(
     quick: bool,
     jobs: usize,
@@ -1132,6 +1114,12 @@ pub fn render_overheads(rows: &[OverheadRow]) -> String {
             100.0 * r.line0_frac,
         );
     }
+    let n = rows.len().max(1) as f64;
+    let avg_hit = rows.iter().map(|r| r.cc_hit_rate).sum::<f64>() / n;
+    let avg_line0 = rows.iter().map(|r| r.line0_frac).sum::<f64>() / n;
+    let _ =
+        writeln!(out, "\naverage Class Cache hit rate: {:.3}% (paper: >99.9%)", 100.0 * avg_hit);
+    let _ = writeln!(out, "average line-0 access share : {:.1}% (paper: 79%)", 100.0 * avg_line0);
     out
 }
 
@@ -1147,6 +1135,176 @@ pub fn save_json<T: ToJson + ?Sized>(name: &str, rows: &T) -> std::io::Result<()
     std::fs::write(path, json)
 }
 
+// ---------------------------------------------------------------------------
+// The front end: every figure binary and `reproduce`
+// ---------------------------------------------------------------------------
+
+/// One figure as a front-end stage: its banner, its results file, its
+/// driver and its renderer.
+pub struct Stage<R> {
+    /// Banner printed above the table.
+    pub title: &'static str,
+    /// Results file stem: rows are saved to `results/<json>.json`.
+    pub json: &'static str,
+    /// The figure's `*_report_cached` driver.
+    pub report: fn(bool, usize, &TraceCache) -> FigureReport<R>,
+    /// The figure's renderer.
+    pub render: fn(&[R]) -> String,
+}
+
+/// A [`Stage`] with its row type erased, so one run lists stages of
+/// different figures.
+pub trait RunStage {
+    /// Run the figure, print and save it, and fold its cells into `meta`
+    /// and its failures into `failures`.
+    fn run(&self, cli: &Cli, cache: &TraceCache, meta: &mut RunMeta, failures: &mut Vec<CellError>);
+}
+
+impl<R: ToJson> RunStage for Stage<R> {
+    fn run(
+        &self,
+        cli: &Cli,
+        cache: &TraceCache,
+        meta: &mut RunMeta,
+        failures: &mut Vec<CellError>,
+    ) {
+        let report = (self.report)(cli.quick, cli.jobs, cache);
+        println!("=== {} ===", self.title);
+        print!("{}", (self.render)(&report.rows));
+        save_json(self.json, &report.rows)
+            .unwrap_or_else(|e| panic!("write results/{}.json: {e}", self.json));
+        eprintln!("saved results/{}.json", self.json);
+        meta.absorb(&report);
+        failures.extend(report.failures);
+    }
+}
+
+/// Figure 1 (`fig1`).
+pub const FIG1: Stage<Fig1Row> = Stage {
+    title: "Figure 1: dynamic instruction breakdown",
+    json: "fig1",
+    report: fig1_report_cached,
+    render: render_fig1,
+};
+
+/// Figure 2 (`fig2`).
+pub const FIG2: Stage<Fig2Row> = Stage {
+    title: "Figure 2: checks/untags after object loads",
+    json: "fig2",
+    report: fig2_report_cached,
+    render: render_fig2,
+};
+
+/// Figure 3 (`fig3`).
+pub const FIG3: Stage<Fig3RowOut> = Stage {
+    title: "Figure 3: monomorphic object loads",
+    json: "fig3",
+    report: fig3_report_cached,
+    render: render_fig3,
+};
+
+/// Figures 8 and 9, which share their runs (`fig8`).
+pub const FIG89: Stage<Fig89Row> = Stage {
+    title: "Figures 8 & 9: speedup and energy",
+    json: "fig8_fig9",
+    report: fig89_report_cached,
+    render: render_fig89,
+};
+
+/// The §5.3 overheads (`overheads`).
+pub const OVERHEADS: Stage<OverheadRow> = Stage {
+    title: "§5.3 overheads",
+    json: "overheads",
+    report: overheads_report_cached,
+    render: render_overheads,
+};
+
+/// The BBV head-to-head (`fig_bbv`).
+pub const FIG_BBV: Stage<FigBbvRow> = Stage {
+    title: "BBV head-to-head: software check elision vs the Class Cache",
+    json: "fig_bbv",
+    report: fig_bbv_report_cached,
+    render: render_fig_bbv,
+};
+
+/// The exit status of a figure run: nonzero when a memoized sim result
+/// diverged from its live re-simulation (`--sim-cache verify`) or a cell
+/// failed, else 0.
+#[must_use]
+pub fn exit_status(sim_verify_mismatches: u64, failed_cells: usize) -> i32 {
+    i32::from(sim_verify_mismatches > 0 || failed_cells > 0)
+}
+
+/// The one figure front end. Resolves the trace cache from `cli`
+/// (`cache_on` is its default: `reproduce` shares engine configurations
+/// across figures, a single figure does not), runs `stages` in order,
+/// saves `results/run_meta.json` with every cell, prints the trace and
+/// sim cache summary, and exits with [`exit_status`].
+pub fn drive(name: &str, cli: &Cli, cache_on: bool, stages: &[&dyn RunStage]) -> ! {
+    let cache = TraceCache::from_cli(cli, cache_on);
+    eprintln!(
+        "{name}: {} mode, {} worker(s), trace cache {}, sim cache {}",
+        if cli.quick { "quick" } else { "full" },
+        cli.jobs,
+        cache.dir().map_or("off".to_string(), |d| format!("at {}", d.display())),
+        cache.sim_mode().label(),
+    );
+    let start = std::time::Instant::now();
+    let mut meta = RunMeta::new(cli.jobs, cli.quick);
+    let mut failures = Vec::new();
+    for (i, stage) in stages.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        stage.run(cli, &cache, &mut meta, &mut failures);
+    }
+    meta.total_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    meta.set_trace_cache(&cache);
+    meta.save().expect("write results/run_meta.json");
+
+    let s = cache.stats();
+    println!(
+        "\nResults saved under results/ ({} cells, {} worker(s), {:.1}s wall).",
+        meta.cells.len(),
+        cli.jobs,
+        meta.total_wall_ms / 1e3,
+    );
+    if cache.enabled() {
+        println!(
+            "Trace cache: {} hit(s), {} miss(es), \
+             {} store(s) ({} deduped); {} B read, {} B written ({} B raw).",
+            s.hits,
+            s.misses,
+            s.stores,
+            s.dedup_stores,
+            s.bytes_read,
+            s.bytes_written,
+            s.raw_bytes_written,
+        );
+    }
+    if cache.sim_mode() != SimCacheMode::Off {
+        println!(
+            "Sim cache ({}): {} hit(s), {} miss(es), {} store(s), {} verify mismatch(es).",
+            cache.sim_mode().label(),
+            s.sim_hits,
+            s.sim_misses,
+            s.sim_stores,
+            s.sim_verify_mismatches,
+        );
+    }
+    if s.sim_verify_mismatches > 0 {
+        eprintln!(
+            "{name}: {} memoized sim result(s) DIVERGED from live re-simulation",
+            s.sim_verify_mismatches
+        );
+    }
+    if !failures.is_empty() {
+        eprint!("\n{}", render_failures(&failures));
+        eprintln!("{name}: completed WITH FAILURES (see above and results/run_meta.json)");
+    }
+    std::process::exit(exit_status(s.sim_verify_mismatches, failures.len()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1155,7 +1313,7 @@ mod tests {
     #[test]
     fn fig89_one_quick_is_consistent() {
         let b = find("richards").expect("registered");
-        let row = fig89_one(b, true);
+        let (row, ..) = fig89_one_cell(b, true, &TraceCache::disabled()).expect("cell runs");
         assert_eq!(row.name, "richards");
         assert!(row.base_uops > 0 && row.full_uops > 0);
         assert!(row.base_cycles > 0 && row.full_cycles > 0);
@@ -1200,6 +1358,21 @@ mod tests {
             "a sibling cell was poisoned: {:?}",
             report.cells.iter().filter(|c| !c.ok).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_verify_mismatch_fails_the_run() {
+        assert_ne!(exit_status(1, 0), 0);
+    }
+
+    #[test]
+    fn a_failed_cell_fails_the_run() {
+        assert_ne!(exit_status(0, 1), 0);
+    }
+
+    #[test]
+    fn a_clean_run_exits_zero() {
+        assert_eq!(exit_status(0, 0), 0);
     }
 
     #[test]

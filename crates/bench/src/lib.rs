@@ -6,8 +6,10 @@
 //! * [`runner`] — the steady-state protocol: ten iterations, statistics
 //!   from the tenth (§5).
 //! * [`figures`] — drivers that regenerate every table and figure of the
-//!   paper; see the `fig1`…`fig9`, `table1`, `table2`, `overheads`,
-//!   `hwcost` and `reproduce` binaries.
+//!   paper, and [`figures::drive`], the one front end of the `fig1`,
+//!   `fig2`, `fig3`, `fig8` (Figures 8 and 9), `overheads`, `fig_bbv` and
+//!   `reproduce` binaries; `table1`, `table2` and `hwcost` print the
+//!   tables.
 //! * [`pool`] — the parallel, fault-isolated experiment-execution layer:
 //!   (benchmark × config) cells fan out across `--jobs N` scoped worker
 //!   threads; per-cell panics become reported [`CellError`]s and results

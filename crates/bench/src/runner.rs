@@ -286,7 +286,7 @@ impl SimTelemetry {
 ///
 /// Timed hits consult the sim-result cache first: when a memoized
 /// `SimResult` exists for `(trace CID, config fingerprint)`, the cell is
-/// served from the manifest and the 332-byte sim object alone — no trace
+/// served from the manifest and the 328-byte sim object alone — no trace
 /// body decode, no `CoreSim`. A sim miss replays the trace through
 /// `CoreSim` once and publishes the result, so every future run (in any
 /// process sharing the store) hits. In `--sim-cache verify` mode a hit

@@ -770,7 +770,8 @@ pub struct PutOutcome {
 /// Totals for a [`TraceStore::gc`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Manifests dropped for a key suffix other than the current one.
+    /// Manifests dropped for a key suffix other than the current one, or
+    /// because they do not decode.
     pub stale_entries: u64,
     /// Manifests dropped by the LRU size bound.
     pub lru_entries: u64,
@@ -1046,6 +1047,15 @@ impl TraceStore {
 
     /// Enumerate all valid manifests: `(path, sidecar, file_size, mtime)`.
     pub fn manifests(&self) -> Vec<(PathBuf, Sidecar, u64, SystemTime)> {
+        self.manifest_files()
+            .into_iter()
+            .filter_map(|(path, side, size, mtime)| Some((path, side?, size, mtime)))
+            .collect()
+    }
+
+    /// Every readable `*.m` file in `manifest/`: `(path, sidecar if it
+    /// decodes, file_size, mtime)`.
+    fn manifest_files(&self) -> Vec<(PathBuf, Option<Sidecar>, u64, SystemTime)> {
         let mut out = Vec::new();
         let Ok(dir) = fs::read_dir(self.root.join("manifest")) else { return out };
         for entry in dir.flatten() {
@@ -1054,12 +1064,11 @@ impl TraceStore {
                 continue;
             }
             let Ok(bytes) = fs::read(&path) else { continue };
-            let Some(side) = Sidecar::decode(&bytes) else { continue };
             let mtime = entry
                 .metadata()
                 .and_then(|m| m.modified())
                 .unwrap_or(SystemTime::UNIX_EPOCH);
-            out.push((path, side, bytes.len() as u64, mtime));
+            out.push((path, Sidecar::decode(&bytes), bytes.len() as u64, mtime));
         }
         out
     }
@@ -1081,10 +1090,10 @@ impl TraceStore {
     }
 
     /// Garbage-collect the store, the one pass that deletes files: remove
-    /// `*.tmp.*` debris of crashed writers, drop manifests whose key does
-    /// not end with `keep_suffix` (the current source fingerprint and
-    /// codec version, so any µop-shaping source edit reclaims every old
-    /// entry), drop sim objects that are corrupt or stored under a
+    /// `*.tmp.*` debris of crashed writers, drop manifests that do not
+    /// decode or whose key does not end with `keep_suffix` (the current
+    /// source fingerprint and codec version, so any µop-shaping source
+    /// edit reclaims every old entry), drop sim objects that are corrupt or stored under a
     /// fingerprint other than `sim_fp`, bound total size to `max_bytes`
     /// evicting least-recently-used manifests first (mtime; refreshed on
     /// every hit; a manifest's cost includes its object *and* sim bytes),
@@ -1102,12 +1111,15 @@ impl TraceStore {
             }
         }
         let mut survivors = Vec::new();
-        for (path, side, size, mtime) in self.manifests() {
-            if side.key.ends_with(keep_suffix) {
-                survivors.push((path, side, size, mtime));
-            } else {
-                stats.stale_entries += 1;
-                stats.free(&path, size);
+        for (path, side, size, mtime) in self.manifest_files() {
+            match side {
+                Some(side) if side.key.ends_with(keep_suffix) => {
+                    survivors.push((path, side, size, mtime));
+                }
+                _ => {
+                    stats.stale_entries += 1;
+                    stats.free(&path, size);
+                }
             }
         }
         // Validate sim objects up front: files under another fingerprint
@@ -1724,6 +1736,26 @@ mod tests {
         assert!(store.stat("a|e1+rev2|c1").is_none());
         assert_eq!(read_entry(&store, "b|e1+rev2|c1").expect("b reads"), raw_b);
         assert_eq!(read_entry(&store, "c|e1+rev2|c1").expect("c reads"), raw_c);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A manifest that does not decode can never serve a lookup: gc
+    /// drops it as a stale entry and charges its bytes.
+    #[test]
+    fn gc_drops_undecodable_manifests() {
+        let (dir, store) = temp_store("gc-garbage");
+        let raw = vec![4u8; 100];
+        let mut side = sample_sidecar("");
+        store.put("live|e1|c1", &mut side, &raw).expect("put");
+        let garbage = dir.join("manifest").join("x-0000000000000000.m");
+        fs::write(&garbage, b"garbage").expect("plant");
+
+        let stats = store.gc("|e1|c1", 7, None);
+        assert!(!garbage.exists(), "gc left the undecodable manifest");
+        assert_eq!(stats.stale_entries, 1);
+        assert_eq!(stats.bytes_freed, b"garbage".len() as u64);
+        assert_eq!(stats.entries_kept, 1);
+        assert_eq!(read_entry(&store, "live|e1|c1").expect("live entry untouched"), raw);
         let _ = fs::remove_dir_all(&dir);
     }
 

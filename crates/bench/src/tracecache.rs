@@ -42,7 +42,7 @@
 //! consumer of the trace, so a trace recorded by an untimed
 //! characterization run can be replayed through `CoreSim` for a timed one
 //! and vice versa — this is exactly what lets `fig2`/`fig3` reuse
-//! `fig1`'s executions and `overheads` reuse `fig8`/`fig9`'s.
+//! `fig1`'s executions and `overheads` reuse `fig8`'s.
 //!
 //! The key is hashed (FNV-1a 64) into the manifest file stem; the full
 //! key string is stored inside the manifest and compared on load, so a

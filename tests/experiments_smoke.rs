@@ -56,7 +56,8 @@ fn fig3_object_benchmarks_are_mostly_monomorphic() {
 #[test]
 fn fig8_mechanism_wins_on_the_headline_benchmark() {
     let b = checkelide::bench::find("ai-astar").unwrap();
-    let row = figures::fig89_one(b, true);
+    let (row, ..) = figures::fig89_one_cell(b, true, &checkelide::bench::TraceCache::disabled())
+        .expect("cell runs");
     assert!(
         row.speedup_whole > 2.0,
         "ai-astar must show a clear speedup even at quick scale, got {:.1}%",
